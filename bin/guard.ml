@@ -259,19 +259,13 @@ let run_gate ~trials ~seed (certs : Cert.certificates) =
 (* Baseline regression check                                           *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A variable certified Smooth in the committed baseline must stay
    Smooth; a silent regression to Control_tainted or Unknown means the
    kernel (or the pass) changed in a way that invalidates masks pruned
    under the old certificate. *)
 let check_baseline ~baseline (certs : Cert.certificates) =
   let base =
-    try Driver.certs_of_json (read_file baseline)
+    try Driver.certs_of_json (Scvad_lint.Driver.read_file baseline)
     with e ->
       fail_usage
         (Printf.sprintf "cannot read baseline %s: %s" baseline

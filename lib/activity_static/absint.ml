@@ -1,32 +1,21 @@
-(* Conservative abstract interpretation of one kernel's post-checkpoint
-   cone — [run] followed by [output] — over the extracted {!Model}.
-
-   Three over-approximations are computed in a single walk:
+(* The activity domain of the kernel {!Eval}uator.  Over the walk's
+   edge graph it computes:
 
    - a per-field *first-effect* status (the kill-before-read lattice):
      [Untouched] (never observed), [Killed] (fully overwritten before
      any read — EP's [buffer] under [vranlc]), [Mayread] (a read may
      observe the checkpointed value).  Branches join pessimistically
-     and loop bodies are conservative about zero-trip execution, so
+     and loops join the pre-loop state (zero trips), so
      [Killed]/[Untouched] are *proofs* of non-consumption;
-   - a flow-insensitive dependence edge graph between state fields and
-     the synthetic [@output] sink, whose backward closure is the
-     may-influence set;
+   - the may-influence set: the backward closure of the edge graph from
+     the synthetic [@output] sink;
    - per-field read *footprints*: every array read resolved to an index
-     expression affine in constant-range loop counters, or [Top] when
-     any read is unresolvable (data-dependent subscripts, unknown
-     bounds).
+     expression affine in constant-range loop counters (the value
+     annotation), or [Top] when any read is unresolvable
+     (data-dependent subscripts, unknown bounds). *)
 
-   Everything unrecognized degrades toward [Mayread]/[Top]/more edges,
-   never the other way; {!Incomplete} aborts the whole app to Unknown
-   when even that is impossible (missing [run]/[output], fuel
-   exhaustion). *)
-
-open Parsetree
-module SS = Set.Make (String)
-module SM = Map.Make (String)
-
-exception Incomplete of string
+module SS = Eval.SS
+module SM = Eval.SM
 
 type feffect = Untouched | Killed | Mayread
 
@@ -41,34 +30,10 @@ type site = { s_base : int; s_terms : (int * int * int) list }
 
 type footprint = Sites of site list | Top
 
-(* ---- abstract values ------------------------------------------------- *)
-
 type iexpr =
   | Const of int
   | Affine of int * (int * int) list  (* base, (loop-var id, coeff) *)
   | Iunknown
-
-type value = { taint : SS.t; sh : shape; ie : iexpr }
-
-and shape =
-  | Scalar_sh
-  | Field_arr of string
-  | Local_arr of cell
-  | State_sh
-  | Ref_sh of cell
-  | Closure_sh of closure
-
-and cell = { mutable c_val : value }
-
-and closure = {
-  cl_params : (Asttypes.arg_label * pattern) list;
-  cl_body : expression;
-  cl_env : value SM.t;
-  cl_rec : string option;
-}
-
-let opaque = { taint = SS.empty; sh = Scalar_sh; ie = Iunknown }
-let scalar ?(ie = Iunknown) taint = { taint; sh = Scalar_sh; ie }
 
 (* ---- affine arithmetic ----------------------------------------------- *)
 
@@ -114,934 +79,110 @@ let ishift a b =
   | _, Const k -> imul a (Const (1 lsl k))
   | _ -> Iunknown
 
-(* ---- analysis context ------------------------------------------------ *)
+(* ---- the domain ------------------------------------------------------ *)
 
-type ctx = {
-  model : Model.t;
-  mutable status : feffect SM.t;
-  edges : (string, SS.t ref) Hashtbl.t;  (* dst -> sources *)
-  ranges : (int, int * int) Hashtbl.t;  (* loop-var id -> inclusive range *)
-  sites : (string, site list ref) Hashtbl.t;
-  tops : (string, unit) Hashtbl.t;
-  mutable notes : string list;
-  mutable fuel : int;
-  mutable depth : int;
-  mutable next_id : int;
-}
+module Domain = struct
+  type t = {
+    mutable status : feffect SM.t;
+    ranges : (int, int * int) Hashtbl.t;  (* loop-var id -> inclusive range *)
+    sites : (string, site list ref) Hashtbl.t;
+    tops : (string, unit) Hashtbl.t;
+    mutable next_id : int;
+  }
 
-let note ctx msg =
-  if not (List.mem msg ctx.notes) then ctx.notes <- ctx.notes @ [ msg ]
+  type ann = iexpr
+  type snapshot = feffect SM.t
 
-let fields_of ctx =
-  Hashtbl.fold (fun f _ acc -> f :: acc) ctx.model.Model.fields []
+  (* Functor-parameter bodies stay opaque: the first in-file definition
+     of a name need not be the implementation passed in. *)
+  let resolve_functor_params = false
+  let boxing = Eval.Consume
+  let escape_effect = "all fields conservative"
+  let top = Iunknown
+  let int_const n = Const n
+  let const_of = function Const n -> Some n | Affine _ | Iunknown -> None
+  let join_ann a b = if a = b then a else Iunknown
 
-let read_field ctx f =
-  match SM.find_opt f ctx.status with
-  | Some Untouched -> ctx.status <- SM.add f Mayread ctx.status
-  | _ -> ()
-
-let kill_field ctx f =
-  match SM.find_opt f ctx.status with
-  | Some Untouched -> ctx.status <- SM.add f Killed ctx.status
-  | _ -> ()
-
-let add_edge ctx srcs dst =
-  if not (SS.is_empty srcs) then
-    match Hashtbl.find_opt ctx.edges dst with
-    | Some r -> r := SS.union !r srcs
-    | None -> Hashtbl.add ctx.edges dst (ref srcs)
-
-let mark_top ctx f = Hashtbl.replace ctx.tops f ()
-
-let record_site ctx f ie =
-  if not (Hashtbl.mem ctx.tops f) then
-    let resolved =
-      match ie with
-      | Const c -> Some { s_base = c; s_terms = [] }
-      | Affine (base, terms) ->
-          List.fold_left
-            (fun acc (id, coeff) ->
-              match (acc, Hashtbl.find_opt ctx.ranges id) with
-              | Some site, Some (lo, hi) ->
-                  Some { site with s_terms = (coeff, lo, hi) :: site.s_terms }
-              | _ -> None)
-            (Some { s_base = base; s_terms = [] })
-            terms
-      | Iunknown -> None
-    in
-    match resolved with
-    | Some site -> (
-        match Hashtbl.find_opt ctx.sites f with
-        | Some r -> r := site :: !r
-        | None -> Hashtbl.add ctx.sites f (ref [ site ]))
-    | None -> mark_top ctx f
-
-(* An element read of field [f] at abstract index [ie]. *)
-let read_elem ctx f ie =
-  read_field ctx f;
-  record_site ctx f ie
-
-(* A whole-array read (HOF traversal, escape to an unknown callee). *)
-let read_all ctx f =
-  read_field ctx f;
-  mark_top ctx f
-
-(* The state record escaped into code we cannot see: every field may be
-   read and written, with arbitrary cross-field flow. *)
-let state_escape ctx what =
-  note ctx
-    (Printf.sprintf "state escaped to %s: all fields conservative" what);
-  let fields = fields_of ctx in
-  let all = SS.of_list fields in
-  List.iter
-    (fun f ->
-      read_all ctx f;
-      add_edge ctx all f)
-    fields;
-  all
-
-(* Taints reachable through a value, descending refs and local
-   arrays. *)
-let rec deep_taint v =
-  match v.sh with
-  | Ref_sh c | Local_arr c -> SS.union v.taint (deep_taint c.c_val)
-  | Field_arr f -> SS.add f v.taint
-  | _ -> v.taint
-
-(* A value flowing somewhere opaque: arrays are fully read, state
-   escapes. *)
-let rec use_value ctx v =
-  (match v.sh with
-  | Field_arr f -> read_all ctx f
-  | State_sh -> ignore (state_escape ctx "an opaque context")
-  | Ref_sh c -> ignore (use_value ctx c.c_val)
-  | Local_arr _ | Closure_sh _ | Scalar_sh -> ());
-  deep_taint v
-
-let rec join_value ctx a b =
-  let taint = SS.union a.taint b.taint in
-  let ie = if a.ie = b.ie then a.ie else Iunknown in
-  let sh =
-    match (a.sh, b.sh) with
-    | Field_arr x, Field_arr y when x = y -> a.sh
-    | Local_arr ca, Local_arr cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
-        a.sh
-    | State_sh, State_sh -> State_sh
-    | Ref_sh ca, Ref_sh cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
-        a.sh
-    | x, y when x == y -> x
-    | x, y ->
-        (* Shapes disagree: conservatively consume both sides so no
-           array identity is silently lost. *)
-        if x <> Scalar_sh then ignore (use_value ctx a);
-        if y <> Scalar_sh then ignore (use_value ctx b);
-        Scalar_sh
-  in
-  { taint; sh; ie }
-
-and join_raw a b =
-  (* Structural join for cell contents where no ctx is at hand: only
-     taints merge; shape keeps the first side. *)
-  { a with taint = SS.union a.taint b.taint }
-
-let cell_join ctx c v =
-  c.c_val <- join_value ctx c.c_val v
-
-(* ---- pattern binding ------------------------------------------------- *)
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it' (p : pattern) ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } -> acc := txt :: !acc
-          | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it' p);
-    }
-  in
-  it.pat it p;
-  List.rev !acc
-
-let rec bind_pattern env (p : pattern) v =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> SM.add txt v env
-  | Ppat_constraint (inner, _) -> bind_pattern env inner v
-  | Ppat_alias (inner, { txt; _ }) -> bind_pattern (SM.add txt v env) inner v
-  | Ppat_any -> env
-  | _ ->
-      (* Destructuring loses shape but keeps taint. *)
-      List.fold_left
-        (fun env name -> SM.add name (scalar v.taint) env)
-        env (pattern_vars p)
-
-(* ---- the interpreter ------------------------------------------------- *)
-
-let direct_children (e : expression) =
-  let acc = ref [] in
-  let collector =
-    {
-      Ast_iterator.default_iterator with
-      expr = (fun _ ce -> acc := ce :: !acc);
-    }
-  in
-  Ast_iterator.default_iterator.expr collector e;
-  List.rev !acc
-
-let loop_passes = 3
-let max_depth = 80
-
-let rec interp ctx env (e : expression) : value =
-  ctx.fuel <- ctx.fuel - 1;
-  if ctx.fuel <= 0 then raise (Incomplete "interpretation fuel exhausted");
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_integer (text, None)) -> (
-      match int_of_string_opt text with
-      | Some v -> { taint = SS.empty; sh = Scalar_sh; ie = Const v }
-      | None -> opaque)
-  | Pexp_constant _ -> opaque
-  | Pexp_ident { txt; _ } -> eval_ident ctx env txt
-  | Pexp_constraint (inner, _) | Pexp_coerce (inner, _, _) ->
-      interp ctx env inner
-  | Pexp_open (_, body) -> interp ctx env body
-  | Pexp_sequence (a, b) ->
-      ignore (interp ctx env a);
-      interp ctx env b
-  | Pexp_let (rec_flag, vbs, body) ->
-      let env' =
-        List.fold_left
-          (fun acc vb ->
-            let v =
-              match split_closure ctx env rec_flag vb with
-              | Some c -> { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-              | None -> interp ctx env vb.pvb_expr
-            in
-            bind_pattern acc vb.pvb_pat v)
-          env vbs
-      in
-      interp ctx env' body
-  | Pexp_fun _ | Pexp_function _ -> (
-      match split_closure_expr ctx env e with
-      | Some c -> { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-      | None -> opaque)
-  | Pexp_field (base, { txt; _ }) -> eval_field ctx env base txt
-  | Pexp_setfield (base, { txt; _ }, rhs) ->
-      let bv = interp ctx env base in
-      let rv = interp ctx env rhs in
-      let f = Model.last_segment txt in
-      (match bv.sh with
-      | State_sh when Model.is_state_field ctx.model f ->
-          (* Whole-field overwrite: scalar fields are fully killed. *)
-          kill_field ctx f;
-          add_edge ctx (deep_taint rv) f
-      | State_sh -> ignore (state_escape ctx "a set of an unknown field")
-      | _ -> ignore (use_value ctx rv));
-      { opaque with taint = SS.empty }
-  | Pexp_ifthenelse (cond, then_e, else_e) ->
-      let cv = interp ctx env cond in
-      let before = ctx.status in
-      let tv = interp ctx env then_e in
-      let after_then = ctx.status in
-      ctx.status <- before;
-      let ev =
-        match else_e with Some b -> interp ctx env b | None -> opaque
-      in
-      let after_else = ctx.status in
-      ctx.status <- merge_status after_then after_else;
-      let v = join_value ctx tv ev in
-      { v with taint = SS.union v.taint cv.taint }
-  | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-      let sv = interp ctx env scrut in
-      interp_cases ctx env sv cases
-  | Pexp_while (cond, body) ->
-      interp_loop ctx env ~var:None ~cond:(Some cond) body
-  | Pexp_for (pat, lo, hi, dir, body) ->
-      let lov = interp ctx env lo in
-      let hiv = interp ctx env hi in
-      let var =
-        match (lov.ie, hiv.ie) with
-        | Const a, Const b ->
-            let lo, hi =
-              match dir with Asttypes.Upto -> (a, b) | Downto -> (b, a)
-            in
-            let id = ctx.next_id in
-            ctx.next_id <- id + 1;
-            Hashtbl.replace ctx.ranges id (lo, hi);
-            Some
-              ( pat,
-                {
-                  taint = SS.union lov.taint hiv.taint;
-                  sh = Scalar_sh;
-                  ie = Affine (0, [ (id, 1) ]);
-                } )
-        | _ -> Some (pat, scalar (SS.union lov.taint hiv.taint))
-      in
-      interp_loop ctx env ~var ~cond:None body
-  | Pexp_apply (fn, args) -> interp_apply ctx env fn args
-  | Pexp_tuple parts ->
-      (* Components escape into a structure we do not track: consume
-         them, so an array boxed here is still counted as read. *)
-      let taint =
-        List.fold_left
-          (fun acc p -> SS.union acc (use_value ctx (interp ctx env p)))
-          SS.empty parts
-      in
-      scalar taint
-  | Pexp_construct (_, None) -> opaque
-  | Pexp_construct (_, Some arg) ->
-      let v = interp ctx env arg in
-      scalar (use_value ctx v)
-  | Pexp_array parts ->
-      let elem =
-        List.fold_left
-          (fun acc p -> join_value ctx acc (interp ctx env p))
-          opaque parts
-      in
-      { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
-  | Pexp_assert cond ->
-      ignore (interp ctx env cond);
-      opaque
-  | Pexp_lazy body -> interp ctx env body
-  | Pexp_record (fields, base) ->
-      let taint =
-        List.fold_left
-          (fun acc (_, fv) -> SS.union acc (use_value ctx (interp ctx env fv)))
-          SS.empty fields
-      in
-      let taint =
-        match base with
-        | Some b -> SS.union taint (deep_taint (interp ctx env b))
-        | None -> taint
-      in
-      scalar taint
-  | _ ->
-      (* Fallback for constructs outside the modeled fragment: interpret
-         every direct child and consume the results conservatively. *)
-      let taint =
-        List.fold_left
-          (fun acc ce -> SS.union acc (use_value ctx (interp ctx env ce)))
-          SS.empty (direct_children e)
-      in
-      scalar taint
-
-and merge_status a b =
-  SM.merge
-    (fun _ sa sb ->
-      match (sa, sb) with
-      | Some Mayread, _ | _, Some Mayread -> Some Mayread
-      | Some Killed, Some Killed -> Some Killed
-      | _ -> Some Untouched)
-    a b
-
-and interp_cases ctx env sv cases =
-  (* Cases are merged against each other AND against the fall-through
-     state, so a kill inside a branch never survives the join (the
-     branch may not be the one taken — for [try] the body may not even
-     raise). *)
-  let before = ctx.status in
-  let v, status =
-    List.fold_left
-      (fun (av, astatus) (case : case) ->
-        ctx.status <- before;
-        let env' =
-          List.fold_left
-            (fun env name -> SM.add name (scalar sv.taint) env)
-            env
-            (pattern_vars case.pc_lhs)
-        in
-        (match case.pc_guard with
-        | Some g -> ignore (interp ctx env' g)
-        | None -> ());
-        let v = interp ctx env' case.pc_rhs in
-        (join_value ctx av v, merge_status astatus ctx.status))
-      (sv, before) cases
-  in
-  ctx.status <- status;
-  { v with taint = SS.union v.taint sv.taint }
-
-(* Loop bodies run a bounded number of passes (local taints converge
-   through ref cells), then the first-effect map is merged against the
-   pre-loop state: a kill inside a possibly-zero-trip loop does not
-   survive it, a may-read does. *)
-and interp_loop ctx env ~var ~cond body =
-  let before = ctx.status in
-  let env' =
-    match var with
-    | Some (pat, v) -> bind_pattern env pat v
-    | None -> env
-  in
-  for _pass = 1 to loop_passes do
-    (match cond with Some c -> ignore (interp ctx env' c) | None -> ());
-    ignore (interp ctx env' body)
-  done;
-  let after = ctx.status in
-  ctx.status <-
-    SM.merge
-      (fun _ pre post ->
-        match post with Some Mayread -> Some Mayread | _ -> pre)
-      before after;
-  opaque
-
-and split_closure ctx env rec_flag vb =
-  match (Model.binding_name_of vb.pvb_pat, vb.pvb_expr.pexp_desc) with
-  | Some name, (Pexp_fun _ | Pexp_function _) -> (
-      match split_closure_expr ctx env vb.pvb_expr with
-      | Some c ->
-          Some
-            {
-              c with
-              cl_rec =
-                (if rec_flag = Asttypes.Recursive then Some name else None);
-            }
-      | None -> None)
-  | _ -> None
-
-and split_closure_expr _ctx env (e : expression) =
-  let rec peel params (e : expression) =
-    match e.pexp_desc with
-    | Pexp_fun (label, _, pat, body) -> peel ((label, pat) :: params) body
-    | Pexp_newtype (_, body) -> peel params body
-    | _ -> (List.rev params, e)
-  in
-  match peel [] e with
-  | [], _ -> None
-  | params, body ->
-      Some { cl_params = params; cl_body = body; cl_env = env; cl_rec = None }
-
-and eval_ident ctx env (lid : Longident.t) =
-  match lid with
-  | Longident.Lident name -> (
-      match SM.find_opt name env with
-      | Some v -> v
-      | None -> (
-          match Model.find_fn ctx.model name with
-          | Some fn ->
-              {
-                taint = SS.empty;
-                sh =
-                  Closure_sh
-                    {
-                      cl_params = fn.Model.fn_params;
-                      cl_body = fn.Model.fn_body;
-                      cl_env = SM.empty;
-                      cl_rec = Some name;
-                    };
-                ie = Iunknown;
-              }
-          | None -> (
-              match Hashtbl.find_opt ctx.model.Model.consts name with
-              | Some c -> { taint = SS.empty; sh = Scalar_sh; ie = Const c }
-              | None -> opaque)))
-  | _ -> (
-      let segs = Model.flatten lid in
-      match segs with
-      | head :: _ when Hashtbl.mem ctx.model.Model.local_modules head -> (
-          let last = Model.last_segment lid in
-          match Model.find_fn ctx.model last with
-          | Some fn ->
-              {
-                taint = SS.empty;
-                sh =
-                  Closure_sh
-                    {
-                      cl_params = fn.Model.fn_params;
-                      cl_body = fn.Model.fn_body;
-                      cl_env = SM.empty;
-                      cl_rec = Some last;
-                    };
-                ie = Iunknown;
-              }
-          | None -> (
-              match Hashtbl.find_opt ctx.model.Model.consts last with
-              | Some c -> { taint = SS.empty; sh = Scalar_sh; ie = Const c }
-              | None -> opaque))
-      | _ -> opaque)
-
-and eval_field ctx env base (lid : Longident.t) =
-  let bv = interp ctx env base in
-  let f = Model.last_segment lid in
-  match bv.sh with
-  | State_sh ->
-      if Model.is_state_field ctx.model f then
-        if Hashtbl.find ctx.model.Model.fields f then
-          (* Array field: a handle, not yet a read. *)
-          { taint = SS.empty; sh = Field_arr f; ie = Iunknown }
-        else begin
-          (* A scalar read consumes the whole (one-element) value. *)
-          read_all ctx f;
-          scalar (SS.singleton f)
-        end
-      else begin
-        ignore (state_escape ctx (Printf.sprintf "unknown field %s" f));
-        scalar (SS.singleton f)
-      end
-  | Ref_sh c when f = "contents" -> c.c_val
-  | _ ->
-      (* Field of a non-state record (CG's [st.matrix.n]): taint flows
-         through, structure is opaque. *)
-      scalar bv.taint
-
-and interp_apply ctx env fn args =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let fnv =
-        (* Locals shadow everything (a closure parameter named like a
-           builtin must win). *)
-        match txt with
-        | Longident.Lident name -> SM.find_opt name env
-        | _ -> None
-      in
-      match fnv with
-      | Some v -> apply_value ctx env v args
-      | None -> (
-          let path = Model.flatten txt in
-          let pure_module m =
-            Hashtbl.mem ctx.model.Model.pure_modules m
-          in
-          match Effects.classify ~pure_module path with
-          | Effects.Pure -> apply_pure ctx env path args
-          | Effects.Array_get -> apply_array_get ctx env args
-          | Effects.Array_set -> apply_array_set ctx env args
-          | Effects.Array_length -> apply_array_length ctx env args
-          | Effects.Array_alloc -> apply_array_alloc ctx env args
-          | Effects.Array_init -> apply_array_init ctx env args
-          | Effects.Array_hof h -> apply_hof ctx env h args
-          | Effects.Array_fill -> apply_array_fill ctx env args
-          | Effects.Array_blit -> apply_array_blit ctx env args
-          | Effects.Array_sort -> apply_array_sort ctx env args
-          | Effects.Deref -> apply_deref ctx env args
-          | Effects.Assign -> apply_assign ctx env args
-          | Effects.Incr -> apply_incr ctx env args
-          | Effects.Ref_make -> apply_ref_make ctx env args
-          | Effects.Ignore ->
-              List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-              opaque
-          | Effects.Raise ->
-              List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-              opaque
-          | Effects.Vranlc -> apply_vranlc ctx env args
-          | Effects.Unknown_call -> (
-              (* A locally-defined function, or truly unknown code. *)
-              match resolve_local_fn ctx txt with
-              | Some c ->
-                  apply_value ctx env
-                    { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-                    args
-              | None -> unknown_call ctx (eval_args ctx env args))))
-  | _ ->
-      let fnv = interp ctx env fn in
-      apply_value ctx env fnv args
-
-and resolve_local_fn ctx (lid : Longident.t) =
-  let resolvable =
-    match lid with
-    | Longident.Lident _ -> true
-    | _ -> (
-        match Model.flatten lid with
-        | head :: _ -> Hashtbl.mem ctx.model.Model.local_modules head
-        | [] -> false)
-  in
-  if not resolvable then None
-  else
-    let last = Model.last_segment lid in
-    match Model.find_fn ctx.model last with
-    | Some fn ->
-        Some
-          {
-            cl_params = fn.Model.fn_params;
-            cl_body = fn.Model.fn_body;
-            cl_env = SM.empty;
-            cl_rec = Some last;
-          }
-    | None -> None
-
-and eval_args ctx env args =
-  List.map (fun (label, a) -> (label, interp ctx env a)) args
-
-and positional vals =
-  List.filter_map
-    (fun (label, v) ->
-      match label with Asttypes.Nolabel -> Some v | _ -> None)
-    vals
-
-(* Apply a value (closure or opaque) to arguments. *)
-and apply_value ctx env fnv args =
-  let vals = eval_args ctx env args in
-  match fnv.sh with
-  | Closure_sh c -> apply_closure ctx c vals
-  | Ref_sh cell -> (
-      match cell.c_val.sh with
-      | Closure_sh c -> apply_closure ctx c vals
-      | _ -> unknown_call ctx vals)
-  | _ ->
-      ignore env;
-      unknown_call ctx vals
-
-and apply_closure ctx c vals =
-  if ctx.depth >= max_depth then begin
-    note ctx "call depth limit hit: treating a call conservatively";
-    unknown_call ctx vals
-  end
-  else begin
-    ctx.depth <- ctx.depth + 1;
-    let result = apply_closure_inner ctx c vals in
-    ctx.depth <- ctx.depth - 1;
-    result
-  end
-
-and apply_closure_inner ctx c vals =
-  let env =
-    match c.cl_rec with
-    | Some name ->
-        SM.add name
-          { taint = SS.empty; sh = Closure_sh c; ie = Iunknown }
-          c.cl_env
-    | None -> c.cl_env
-  in
-  (* Match labelled arguments to labelled parameters, positionals in
-     order. *)
-  let labelled_vals =
-    List.filter_map
-      (fun (label, v) ->
-        match label with
-        | Asttypes.Labelled l | Asttypes.Optional l -> Some (l, v)
-        | Asttypes.Nolabel -> None)
-      vals
-  in
-  let pos_vals = ref (positional vals) in
-  let take_pos () =
-    match !pos_vals with
-    | v :: rest ->
-        pos_vals := rest;
-        Some v
-    | [] -> None
-  in
-  let rec bind env params =
-    match params with
-    | [] -> (env, [])
-    | (label, pat) :: rest -> (
-        let arg =
-          match label with
-          | Asttypes.Labelled l | Asttypes.Optional l ->
-              List.assoc_opt l labelled_vals
-          | Asttypes.Nolabel -> take_pos ()
-        in
-        match arg with
-        | Some v -> bind (bind_pattern env pat v) rest
-        | None -> (
-            match label with
-            | Asttypes.Optional _ -> bind (bind_pattern env pat opaque) rest
-            | _ ->
-                (* Partial application. *)
-                (env, params)))
-  in
-  let env, remaining = bind env c.cl_params in
-  if remaining <> [] then
-    {
-      taint = SS.empty;
-      sh = Closure_sh { c with cl_params = remaining; cl_env = env };
-      ie = Iunknown;
-    }
-  else
-    let result = interp ctx env c.cl_body in
-    match !pos_vals with
-    | [] -> result
-    | extra -> (
-        (* Over-application: the result must itself be a function. *)
-        match result.sh with
-        | Closure_sh c' -> apply_closure ctx c' (List.map (fun v -> (Asttypes.Nolabel, v)) extra)
-        | _ -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) extra))
-
-(* Unknown callee: every argument is consumed, array arguments are also
-   written (with cross-argument flow), closures may be invoked by the
-   callee (so their bodies run once against opaque arguments), state
-   escapes. *)
-and unknown_call ctx vals =
-  let taints =
-    List.fold_left
-      (fun acc (_, v) -> SS.union acc (use_value ctx v))
-      SS.empty vals
-  in
-  let taints =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with
-        | State_sh -> SS.union acc (state_escape ctx "an unknown call")
-        | Closure_sh c -> SS.union acc (deep_taint (force_closure ctx c))
-        | _ -> acc)
-      taints vals
-  in
-  List.iter
-    (fun (_, v) ->
-      match v.sh with
-      | Field_arr f -> add_edge ctx taints f
-      | Local_arr cell -> cell_join ctx cell (scalar taints)
-      | Ref_sh cell -> cell_join ctx cell (scalar taints)
-      | _ -> ())
-    vals;
-  scalar taints
-
-(* A closure handed to unknown code may be invoked with anything:
-   interpret its body once, all parameters opaque, so the reads and
-   writes it performs are still observed. *)
-and force_closure ctx c =
-  apply_closure ctx c
-    (List.map (fun (label, _) -> (label, opaque)) c.cl_params)
-
-and apply_pure ctx env path args =
-  let vals = eval_args ctx env args in
-  let taint =
-    List.fold_left (fun acc (_, v) -> SS.union acc (deep_taint v)) SS.empty vals
-  in
-  let ie =
-    let name = match List.rev path with n :: _ -> n | [] -> "" in
-    match (name, positional vals) with
-    | "+", [ a; b ] -> iadd a.ie b.ie
-    | "-", [ a; b ] -> isub a.ie b.ie
-    | "*", [ a; b ] -> imul a.ie b.ie
-    | "lsl", [ a; b ] -> ishift a.ie b.ie
-    | "~-", [ a ] -> ineg a.ie
+  let pure name vals =
+    match (name, Eval.positional vals) with
+    | "+", [ a; b ] -> iadd a.Eval.ann b.Eval.ann
+    | "-", [ a; b ] -> isub a.Eval.ann b.Eval.ann
+    | "*", [ a; b ] -> imul a.Eval.ann b.Eval.ann
+    | "lsl", [ a; b ] -> ishift a.Eval.ann b.Eval.ann
+    | "~-", [ a ] -> ineg a.Eval.ann
     | ("min" | "max"), [ a; b ] -> (
-        match (a.ie, b.ie) with
+        match (a.Eval.ann, b.Eval.ann) with
         | Const x, Const y -> Const (if name = "min" then min x y else max x y)
         | _ -> Iunknown)
     | _ -> Iunknown
-  in
-  { taint; sh = Scalar_sh; ie }
 
-and apply_array_get ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ arr; idx ] -> (
-      match arr.sh with
-      | Field_arr f ->
-          read_elem ctx f idx.ie;
-          scalar (SS.union (SS.add f arr.taint) idx.taint)
-      | Local_arr cell ->
-          {
-            cell.c_val with
-            taint =
-              SS.union (deep_taint cell.c_val)
-                (SS.union arr.taint idx.taint);
-          }
-      | _ -> scalar (SS.union arr.taint idx.taint))
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  let loop_index st ~lo ~hi dir =
+    match (lo, hi) with
+    | Const a, Const b ->
+        let lo, hi =
+          match dir with Asttypes.Upto -> (a, b) | Downto -> (b, a)
+        in
+        let id = st.next_id in
+        st.next_id <- id + 1;
+        Hashtbl.replace st.ranges id (lo, hi);
+        Affine (0, [ (id, 1) ])
+    | _ -> Iunknown
 
-and apply_array_set ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ arr; idx; v ] ->
-      let srcs = SS.union (deep_taint v) idx.taint in
-      (match arr.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell { v with taint = srcs }
-      | _ -> ignore (use_value ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  let read_field st f =
+    match SM.find_opt f st.status with
+    | Some Untouched -> st.status <- SM.add f Mayread st.status
+    | _ -> ()
 
-and apply_array_length ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ arr ] -> (
-      match arr.sh with
-      | Field_arr f -> (
-          match Hashtbl.find_opt ctx.model.Model.field_elements f with
-          | Some n -> { taint = SS.empty; sh = Scalar_sh; ie = Const n }
-          | None -> opaque)
-      | _ -> opaque)
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  let read_all st f =
+    read_field st f;
+    Hashtbl.replace st.tops f ()
 
-and apply_array_alloc ctx env args =
-  let vals = eval_args ctx env args in
-  let taint =
-    List.fold_left
-      (fun acc (_, v) ->
-        (match v.sh with Field_arr f -> read_all ctx f | _ -> ());
-        SS.union acc (deep_taint v))
-      SS.empty vals
-  in
-  { taint = SS.empty; sh = Local_arr { c_val = scalar taint }; ie = Iunknown }
-
-and apply_array_init ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ n; f ] ->
-      let elem =
-        match f.sh with
-        | Closure_sh c -> apply_closure ctx c [ (Asttypes.Nolabel, opaque) ]
-        | _ -> scalar (deep_taint f)
+  let read_elem st f ie =
+    read_field st f;
+    if not (Hashtbl.mem st.tops f) then
+      let resolved =
+        match ie with
+        | Const c -> Some { s_base = c; s_terms = [] }
+        | Affine (base, terms) ->
+            List.fold_left
+              (fun acc (id, coeff) ->
+                match (acc, Hashtbl.find_opt st.ranges id) with
+                | Some site, Some (lo, hi) ->
+                    Some { site with s_terms = (coeff, lo, hi) :: site.s_terms }
+                | _ -> None)
+              (Some { s_base = base; s_terms = [] })
+              terms
+        | Iunknown -> None
       in
-      let elem = { elem with taint = SS.union elem.taint n.taint } in
-      { taint = SS.empty; sh = Local_arr { c_val = elem }; ie = Iunknown }
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+      match resolved with
+      | Some site -> (
+          match Hashtbl.find_opt st.sites f with
+          | Some r -> r := site :: !r
+          | None -> Hashtbl.add st.sites f (ref [ site ]))
+      | None -> Hashtbl.replace st.tops f ()
 
-and apply_hof ctx env kind args =
-  let vals = eval_args ctx env args in
-  (* The traversed sequence(s) are whole-array reads; the callback sees
-     element values tainted by them. *)
-  let arrays, fns =
-    List.partition
-      (fun (_, v) ->
-        match v.sh with
-        | Field_arr _ | Local_arr _ -> true
-        | _ -> false)
-      vals
-  in
-  let elem_taint =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with
-        | Field_arr f ->
-            read_all ctx f;
-            SS.add f acc
-        | Local_arr cell -> SS.union acc (deep_taint cell.c_val)
-        | _ -> acc)
-      SS.empty arrays
-  in
-  let closure =
-    List.find_map
-      (fun (_, v) ->
-        match v.sh with Closure_sh c -> Some c | _ -> None)
-      fns
-  in
-  let other_taint =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with Closure_sh _ -> acc | _ -> SS.union acc (deep_taint v))
-      SS.empty fns
-  in
-  let elem = scalar (SS.union elem_taint other_taint) in
-  let apply_cb args_for_cb =
-    match closure with
-    | Some c ->
-        apply_closure ctx c
-          (List.map (fun v -> (Asttypes.Nolabel, v)) args_for_cb)
-    | None -> scalar (SS.union elem_taint other_taint)
-  in
-  let result =
-    match kind with
-    | Effects.Iter ->
-        ignore (apply_cb [ elem ]);
-        ignore (apply_cb [ elem ]);
-        opaque
-    | Effects.Iteri ->
-        ignore (apply_cb [ opaque; elem ]);
-        ignore (apply_cb [ opaque; elem ]);
-        opaque
-    | Effects.Map ->
-        let r = apply_cb [ elem ] in
-        {
-          taint = SS.empty;
-          sh = Local_arr { c_val = scalar (SS.union (deep_taint r) elem.taint) };
-          ie = Iunknown;
-        }
-    | Effects.Fold ->
-        (* fold f init seq / fold_right f seq init: thread the
-           accumulator twice so element taint reaches it. *)
-        let acc0 = scalar other_taint in
-        let acc1 = apply_cb [ acc0; elem ] in
-        let acc2 = apply_cb [ scalar (SS.union (deep_taint acc1) elem.taint); elem ] in
-        scalar (SS.union (deep_taint acc2) (SS.union elem_taint other_taint))
-  in
-  (* Writes performed by mutating callbacks went through Array_set /
-     field paths inside the closure body; nothing more to do here. *)
-  result
+  let kill st f =
+    match SM.find_opt f st.status with
+    | Some Untouched -> st.status <- SM.add f Killed st.status
+    | _ -> ()
 
-and apply_array_fill ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ arr; pos; len; v ] ->
-      (match arr.sh with
-      | Field_arr f -> (
-          let srcs = SS.union (deep_taint v) (SS.union pos.taint len.taint) in
-          add_edge ctx srcs f;
-          match (pos.ie, len.ie, Hashtbl.find_opt ctx.model.Model.field_elements f) with
-          | Const 0, Const n, Some elems when n >= elems -> kill_field ctx f
-          | _ -> ())
-      | Local_arr cell -> cell_join ctx cell v
-      | _ -> ignore (use_value ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  let leak _ _ = ()
+  let discrete _ _ _ _ _ = ()
+  let call _ _ _ _ = ()
+  let save st = st.status
+  let restore st s = st.status <- s
 
-and apply_array_blit ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ src; _spos; dst; _dpos; _len ] ->
-      let srcs =
-        match src.sh with
-        | Field_arr f ->
-            read_all ctx f;
-            SS.add f src.taint
-        | Local_arr cell -> deep_taint cell.c_val
-        | _ -> src.taint
-      in
-      (match dst.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell (scalar srcs)
-      | _ -> ());
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
+  let join a b =
+    SM.merge
+      (fun _ sa sb ->
+        match (sa, sb) with
+        | Some Mayread, _ | _, Some Mayread -> Some Mayread
+        | Some Killed, Some Killed -> Some Killed
+        | _ -> Some Untouched)
+      a b
+end
 
-and apply_array_sort ctx env args =
-  let vals = eval_args ctx env args in
-  List.iter
-    (fun (_, v) ->
-      match v.sh with
-      | Field_arr f ->
-          read_all ctx f;
-          add_edge ctx (SS.singleton f) f
-      | _ -> ())
-    vals;
-  opaque
-
-and apply_deref ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ r ] -> (
-      match r.sh with
-      | Ref_sh cell ->
-          { cell.c_val with taint = SS.union cell.c_val.taint r.taint }
-      | _ -> scalar r.taint)
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_assign ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ r; v ] ->
-      (match r.sh with
-      | Ref_sh cell -> cell_join ctx cell v
-      | _ -> ignore (use_value ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_incr ctx env args =
-  List.iter (fun (_, a) -> ignore (interp ctx env a)) args;
-  opaque
-
-and apply_ref_make ctx env args =
-  match positional (eval_args ctx env args) with
-  | [ v ] -> { taint = SS.empty; sh = Ref_sh { c_val = v }; ie = Iunknown }
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-(* [Nprand.vranlc rng ~a count arr off]: writes [count] fresh deviates
-   at [arr.(off ...)]; a full-extent write at offset 0 kills the
-   array. *)
-and apply_vranlc ctx env args =
-  let vals = eval_args ctx env args in
-  let srcs =
-    List.fold_left (fun acc (_, v) -> SS.union acc (deep_taint v)) SS.empty vals
-  in
-  (match positional vals with
-  | [ _rng; count; arr; off ] -> (
-      match arr.sh with
-      | Field_arr f -> (
-          add_edge ctx srcs f;
-          match
-            (count.ie, off.ie, Hashtbl.find_opt ctx.model.Model.field_elements f)
-          with
-          | Const n, Const 0, Some elems when n >= elems -> kill_field ctx f
-          | _ -> ())
-      | Local_arr cell -> cell_join ctx cell (scalar srcs)
-      | _ -> ())
-  | _ -> ());
-  opaque
+module Walk = Eval.Make (Domain)
 
 (* ---- entry ----------------------------------------------------------- *)
 
@@ -1049,95 +190,38 @@ type outcome = {
   o_status : (string * feffect) list;
   o_reaches : SS.t;  (** fields with a may-dependence path to output *)
   o_edges : (string * SS.t) list;
-      (** the raw dependence graph: destination -> sources, including
-          the synthetic "@output" sink — consumers (the discover pass)
-          re-run closures over it *)
   o_footprints : (string * footprint) list;
   o_notes : string list;
 }
 
-let reaches_of ctx =
-  let visited = Hashtbl.create 16 in
-  let rec go dst =
-    if not (Hashtbl.mem visited dst) then begin
-      Hashtbl.add visited dst ();
-      match Hashtbl.find_opt ctx.edges dst with
-      | Some srcs -> SS.iter go !srcs
-      | None -> ()
-    end
-  in
-  go "@output";
-  Hashtbl.fold
-    (fun f _ acc -> if Model.is_state_field ctx.model f then SS.add f acc else acc)
-    visited SS.empty
-
 let analyze (model : Model.t) : outcome =
-  let run =
-    match Model.find_fn model "run" with
-    | Some fn -> fn
-    | None -> raise (Incomplete "no run function found")
-  in
-  let output =
-    match Model.find_fn model "output" with
-    | Some fn -> fn
-    | None -> raise (Incomplete "no output function found")
-  in
-  let status0 =
-    Hashtbl.fold
-      (fun f _ acc -> SM.add f Untouched acc)
-      model.Model.fields SM.empty
-  in
-  let ctx =
+  let st =
     {
-      model;
-      status = status0;
-      edges = Hashtbl.create 32;
+      Domain.status =
+        Hashtbl.fold
+          (fun f _ acc -> SM.add f Untouched acc)
+          model.Model.fields SM.empty;
       ranges = Hashtbl.create 32;
       sites = Hashtbl.create 8;
       tops = Hashtbl.create 8;
-      notes = [];
-      fuel = 50_000_000;
-      depth = 0;
       next_id = 0;
     }
   in
-  let bind_params params =
-    (* First parameter is the state; the window bounds are opaque. *)
-    List.fold_left
-      (fun (env, first) (label, pat) ->
-        let v =
-          if first then { taint = SS.empty; sh = State_sh; ie = Iunknown }
-          else opaque
-        in
-        ignore label;
-        (bind_pattern env pat v, false))
-      (SM.empty, true) params
-    |> fst
-  in
-  ignore (interp ctx (bind_params run.Model.fn_params) run.Model.fn_body);
-  let out_v =
-    interp ctx (bind_params output.Model.fn_params) output.Model.fn_body
-  in
-  add_edge ctx (deep_taint out_v) "@output";
-  let reaches = reaches_of ctx in
+  let w = Walk.walk st model in
   let footprints =
     Hashtbl.fold
       (fun f _ acc ->
-        if Hashtbl.mem ctx.tops f then (f, Top) :: acc
+        if Hashtbl.mem st.Domain.tops f then (f, Top) :: acc
         else
-          match Hashtbl.find_opt ctx.sites f with
+          match Hashtbl.find_opt st.Domain.sites f with
           | Some sites -> (f, Sites !sites) :: acc
           | None -> (f, Sites []) :: acc)
       model.Model.fields []
   in
-  let edges =
-    Hashtbl.fold (fun dst srcs acc -> (dst, !srcs) :: acc) ctx.edges []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
   {
-    o_status = SM.bindings ctx.status;
-    o_reaches = reaches;
-    o_edges = edges;
+    o_status = SM.bindings st.Domain.status;
+    o_reaches = Eval.closure w (SS.singleton "@output");
+    o_edges = Eval.edges w;
     o_footprints = footprints;
-    o_notes = ctx.notes;
+    o_notes = w.Eval.notes;
   }

@@ -1,25 +1,20 @@
-(** Conservative abstract interpretation of a kernel's post-checkpoint
-    cone ([run] then [output]) over the extracted {!Model}.  Produces,
-    per state field:
+(** The activity domain of the kernel {!Eval}uator: a conservative
+    abstract interpretation of a kernel's post-checkpoint cone ([run]
+    then [output]).  Produces, per state field:
 
     - a first-effect status — [Untouched] / [Killed] (fully overwritten
       before any possible read) / [Mayread].  The first two are proofs
       that the checkpointed value is never consumed: branch joins are
-      pessimistic and loop bodies are conservative about zero-trip
-      execution;
+      pessimistic and loops join their zero-trip state;
     - membership in the may-influence set of the output (backward
-      closure of a flow-insensitive dependence edge graph seeded at the
-      synthetic [@output] sink);
+      closure of the walk's edge graph from the synthetic [@output]
+      sink);
     - a read footprint: the affine read sites with constant loop
       ranges, or [Top] as soon as any read is unresolvable.
 
     Unrecognized constructs always degrade toward
-    [Mayread]/[Top]/more edges; {!Incomplete} aborts the app to a
+    [Mayread]/[Top]/more edges; {!Eval.Incomplete} aborts the app to a
     fully-Unknown verdict. *)
-
-module SS : Set.S with type elt = string
-
-exception Incomplete of string
 
 type feffect = Untouched | Killed | Mayread
 
@@ -32,8 +27,8 @@ type footprint = Sites of site list | Top
 
 type outcome = {
   o_status : (string * feffect) list;
-  o_reaches : SS.t;
-  o_edges : (string * SS.t) list;
+  o_reaches : Eval.SS.t;
+  o_edges : (string * Eval.SS.t) list;
       (** flow-insensitive may-dependence edges, destination to sources,
           sorted by destination and including the synthetic ["@output"]
           sink.  Sources mix state fields with local temporaries; filter
@@ -43,6 +38,6 @@ type outcome = {
   o_notes : string list;
 }
 
-(** Raises {!Incomplete} when the cone cannot be interpreted at all
-    (missing [run]/[output], fuel exhaustion). *)
+(** Raises {!Eval.Incomplete} when the cone cannot be interpreted at
+    all (missing [run]/[output], fuel exhaustion). *)
 val analyze : Model.t -> outcome

@@ -17,38 +17,9 @@
      of a path is never promoted to an inactivity claim.) *)
 
 module Finding = Scvad_lint.Finding
+module Lint = Scvad_lint.Driver
 module Ljson = Scvad_util.Ljson
 module Regions = Scvad_checkpoint.Regions
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
@@ -92,7 +63,7 @@ let base_verdict (outcome : Absint.outcome option) (v : Model.var_decl) =
                     "fully overwritten before any read (kill-before-read)",
                     whole_var v )
               | Some Absint.Mayread ->
-                  if Absint.SS.mem f o.Absint.o_reaches then
+                  if Eval.SS.mem f o.Absint.o_reaches then
                     let refinement =
                       match
                         (v.Model.v_elements, List.assoc_opt f o.Absint.o_footprints)
@@ -140,7 +111,7 @@ let var_verdict ~pragmas (outcome : Absint.outcome option)
    problems either way. *)
 let analyze_source ~file source =
   let pragmas, pragma_errors = Apragma.scan ~file source in
-  match parse ~file source with
+  match Lint.parse ~file source with
   | Error f -> (None, [ f ])
   | Ok ast -> (
       let m = Model.of_structure ~file ast in
@@ -150,7 +121,7 @@ let analyze_source ~file source =
           let outcome, resolved, extra_notes =
             match Absint.analyze m with
             | o -> (Some o, true, o.Absint.o_notes)
-            | exception Absint.Incomplete msg ->
+            | exception Eval.Incomplete msg ->
                 (None, false, [ Printf.sprintf "analysis incomplete: %s" msg ])
           in
           let vars = List.map (var_verdict ~pragmas outcome) m.Model.vars in
@@ -165,26 +136,24 @@ let analyze_source ~file source =
           in
           (Some av, pragma_errors @ Apragma.unused pragmas))
 
-let analyze_file file =
-  let source = read_file file in
-  analyze_source ~file source
-
-let analyze_files files =
+let analyze_files_with analyze_source files =
   List.fold_left
     (fun (apps, findings) file ->
-      let app, fs = analyze_file file in
+      let app, fs = analyze_source ~file (Lint.read_file file) in
       let apps = match app with Some a -> apps @ [ a ] | None -> apps in
       (apps, findings @ fs))
     ([], []) files
 
-let analyze_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-  in
-  analyze_files files
+let analyze_dir_with analyze_source dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  |> List.sort String.compare
+  |> List.map (Filename.concat dir)
+  |> analyze_files_with analyze_source
+
+let analyze_file file = analyze_source ~file (Lint.read_file file)
+let analyze_files = analyze_files_with analyze_source
+let analyze_dir = analyze_dir_with analyze_source
 
 (* Walk up from [cwd] (or the current directory) to the dune-project
    root and return its lib/npb directory, so the tool works from any
@@ -346,20 +315,9 @@ let render_json (vs : Verdict.verdicts) (findings : Finding.t list) =
 (* JSON parse-back (fixture round-trip + report consumers)             *)
 (* ------------------------------------------------------------------ *)
 
-let jstr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Str s) -> s
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing string %S" key)
-
-let jbool key j =
-  match Ljson.member key j with
-  | Some (Ljson.Bool v) -> v
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing bool %S" key)
-
-let jarr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Arr items) -> items
-  | _ -> failwith (Printf.sprintf "verdicts_of_json: missing array %S" key)
+let jstr = Ljson.jstr "verdicts_of_json"
+let jbool = Ljson.jbool "verdicts_of_json"
+let jarr = Ljson.jarr "verdicts_of_json"
 
 let var_of_json j =
   let class_ =

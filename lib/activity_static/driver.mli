@@ -19,6 +19,19 @@ val analyze_files :
 (** Analyze every [.ml] file in [dir], sorted by name. *)
 val analyze_dir : string -> Verdict.verdicts * Scvad_lint.Finding.t list
 
+(** [analyze_files] and [analyze_dir] over any per-source analysis
+    ([None] = no app in that file); the guard and discover drivers share
+    them. *)
+val analyze_files_with :
+  (file:string -> string -> 'a option * Scvad_lint.Finding.t list) ->
+  string list ->
+  'a list * Scvad_lint.Finding.t list
+
+val analyze_dir_with :
+  (file:string -> string -> 'a option * Scvad_lint.Finding.t list) ->
+  string ->
+  'a list * Scvad_lint.Finding.t list
+
 (** The repo's [lib/npb] directory, found by walking up from [cwd]
     (default: the current directory) to the [dune-project] root. *)
 val locate_npb_dir : ?cwd:string -> unit -> string option

@@ -1,7 +1,7 @@
-(** Discover driver: parse NPB kernels, run the activity abstract
-    interpreter (first effects, dependence edges) and the escape
-    interpreter (leak facts), and assemble per-field {!Rank.field_rank}
-    proposals with pragma overlay. *)
+(** Discover driver: parse NPB kernels, walk them in the activity domain
+    (first effects, dependence edges) and the escape domain (leak
+    facts), and assemble per-field {!Rank.field_rank} proposals with
+    pragma overlay. *)
 
 (** [analyze_source ~file source] ranks the app declared in [source],
     or [None] for shared modules; findings carry pragma problems and

@@ -13,7 +13,7 @@ module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
 module Einterp = Scvad_guard.Einterp
 module Verdict = Scvad_activity.Verdict
-module SS = Absint.SS
+module SS = Scvad_activity.Eval.SS
 
 type verdict = Required | Prunable_recomputable | Prunable_dead | Unknown
 
@@ -182,10 +182,7 @@ let rank ?absint ?einterp (m : Model.t) =
       in
       let leaked =
         match einterp with
-        | Some (e : Einterp.outcome) ->
-            (* Einterp.SS and Absint.SS are distinct Set instances over
-               string; rebuild on this module's SS. *)
-            Einterp.SS.fold SS.add e.Einterp.e_leaked SS.empty
+        | Some (e : Einterp.outcome) -> e.Einterp.e_leaked
         | None -> SS.of_list fields
       in
       let keep =

@@ -91,7 +91,7 @@ val added_fields : app_ranks -> field_rank list
 val count_verdict : proposals -> verdict -> int
 
 (** Rank every state field of [model].  [absint] and [einterp] are the
-    outcomes of the activity and escape interpreters when they
+    outcomes of the activity and escape walks when they
     resolved; with no [absint] every field is [Unknown] (the
     conservative bottom).  With no [einterp] every field counts as
     leaked, which blocks recomputable justifications but never affects

@@ -1,7 +1,7 @@
 (* The guard driver: parse an NPB kernel with compiler-libs, extract
-   the {!Scvad_activity.Model}, run the activity pass's abstract
-   interpreter (for kill/reach facts) and the escape interpreter, and
-   assemble one {!Cert.var_cert} per checkpoint variable.
+   the {!Scvad_activity.Model}, walk it in the kernel evaluator's two
+   domains (activity for kill/reach facts, escape for escapes and
+   leaks), and assemble one {!Cert.var_cert} per checkpoint variable.
 
    The certificate rule (soundness argument in DESIGN.md §12):
 
@@ -33,55 +33,43 @@
 
 module Model = Scvad_activity.Model
 module Absint = Scvad_activity.Absint
+module Eval = Scvad_activity.Eval
 module Verdict = Scvad_activity.Verdict
 module Finding = Scvad_lint.Finding
+module Adriver = Scvad_activity.Driver
 module Ljson = Scvad_util.Ljson
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse ~file source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | ast -> Ok ast
-  | exception Syntaxerr.Error _ ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum;
-          message = "syntax error: the file does not parse";
-          severity = Finding.Error;
-        }
-  | exception Lexer.Error (_, loc) ->
-      Error
-        {
-          Finding.rule = Finding.Syntax;
-          file;
-          line = loc.Location.loc_start.Lexing.pos_lnum;
-          message = "lexing error: the file does not parse";
-          severity = Finding.Error;
-        }
 
 (* ------------------------------------------------------------------ *)
 (* Certificate assembly                                                *)
 (* ------------------------------------------------------------------ *)
 
 type analysis = {
-  a_absint : Absint.outcome option;  (* kill/reach facts *)
-  a_einterp : Einterp.outcome option;  (* escapes and leaks *)
+  a_absint : Absint.outcome option;
+  a_einterp : Einterp.outcome option;
+  a_notes : string list;
 }
+
+let walks m =
+  let a_absint, absint_notes =
+    match Absint.analyze m with
+    | o -> (Some o, o.Absint.o_notes)
+    | exception Eval.Incomplete msg ->
+        (None, [ Printf.sprintf "activity analysis incomplete: %s" msg ])
+  in
+  let a_einterp, einterp_notes =
+    match Einterp.analyze m with
+    | o -> (Some o, o.Einterp.e_notes)
+    | exception Eval.Incomplete msg ->
+        (None, [ Printf.sprintf "escape analysis incomplete: %s" msg ])
+  in
+  { a_absint; a_einterp; a_notes = absint_notes @ einterp_notes }
 
 let field_status (a : analysis) f =
   Option.bind a.a_absint (fun o -> List.assoc_opt f o.Absint.o_status)
 
 let field_reaches (a : analysis) f =
   match a.a_absint with
-  | Some o -> Absint.SS.mem f o.Absint.o_reaches
+  | Some o -> Eval.SS.mem f o.Absint.o_reaches
   | None -> false
 
 let field_sites (a : analysis) f =
@@ -89,13 +77,13 @@ let field_sites (a : analysis) f =
   | Some o ->
       List.filter_map
         (fun (site, taint) ->
-          if Einterp.SS.mem f taint then Some site else None)
+          if Eval.SS.mem f taint then Some site else None)
         o.Einterp.e_escapes
   | None -> []
 
 let field_leaked (a : analysis) f =
   match a.a_einterp with
-  | Some o -> Einterp.SS.mem f o.Einterp.e_leaked
+  | Some o -> Eval.SS.mem f o.Einterp.e_leaked
   | None -> true
 
 (* Base certificate before pragmas. *)
@@ -179,60 +167,30 @@ let var_cert ~pragmas (a : analysis) (v : Model.var_decl) =
    way. *)
 let analyze_source ~file source =
   let pragmas, pragma_errors = Gpragma.scan ~file source in
-  match parse ~file source with
+  match Scvad_lint.Driver.parse ~file source with
   | Error f -> (None, [ f ])
   | Ok ast -> (
       let m = Model.of_structure ~file ast in
       match m.Model.app_name with
       | None -> (None, pragma_errors)
       | Some app ->
-          let a_absint, absint_notes =
-            match Absint.analyze m with
-            | o -> (Some o, [])
-            | exception Absint.Incomplete msg ->
-                (None, [ Printf.sprintf "activity analysis incomplete: %s" msg ])
-          in
-          let a_einterp, einterp_notes =
-            match Einterp.analyze m with
-            | o -> (Some o, o.Einterp.e_notes)
-            | exception Einterp.Incomplete msg ->
-                (None, [ Printf.sprintf "escape analysis incomplete: %s" msg ])
-          in
-          let a = { a_absint; a_einterp } in
+          let a = walks m in
           let certs = List.map (var_cert ~pragmas a) m.Model.vars in
           let ac =
             {
               Cert.app;
               source = file;
-              resolved = a_absint <> None && a_einterp <> None;
+              resolved = a.a_absint <> None && a.a_einterp <> None;
               certs;
-              notes = List.rev m.Model.notes @ absint_notes @ einterp_notes;
+              notes = List.rev m.Model.notes @ a.a_notes;
             }
           in
           (Some ac, pragma_errors @ Gpragma.unused pragmas))
 
-let analyze_file file =
-  let source = read_file file in
-  analyze_source ~file source
-
-let analyze_files files =
-  List.fold_left
-    (fun (apps, findings) file ->
-      let app, fs = analyze_file file in
-      let apps = match app with Some a -> apps @ [ a ] | None -> apps in
-      (apps, findings @ fs))
-    ([], []) files
-
-let analyze_dir dir =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-  in
-  analyze_files files
-
-let locate_npb_dir = Scvad_activity.Driver.locate_npb_dir
+let analyze_file file = analyze_source ~file (Scvad_lint.Driver.read_file file)
+let analyze_files = Adriver.analyze_files_with analyze_source
+let analyze_dir = Adriver.analyze_dir_with analyze_source
+let locate_npb_dir = Adriver.locate_npb_dir
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -344,25 +302,10 @@ let render_json (cs : Cert.certificates) (findings : Finding.t list) =
 (* JSON parse-back (fixture round-trip, --baseline regression gate)    *)
 (* ------------------------------------------------------------------ *)
 
-let jstr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Str s) -> s
-  | _ -> failwith (Printf.sprintf "certs_of_json: missing string %S" key)
-
-let jint key j =
-  match Ljson.member key j with
-  | Some (Ljson.Int n) -> n
-  | _ -> failwith (Printf.sprintf "certs_of_json: missing int %S" key)
-
-let jbool key j =
-  match Ljson.member key j with
-  | Some (Ljson.Bool v) -> v
-  | _ -> failwith (Printf.sprintf "certs_of_json: missing bool %S" key)
-
-let jarr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Arr items) -> items
-  | _ -> failwith (Printf.sprintf "certs_of_json: missing array %S" key)
+let jstr = Ljson.jstr "certs_of_json"
+let jint = Ljson.jint "certs_of_json"
+let jbool = Ljson.jbool "certs_of_json"
+let jarr = Ljson.jarr "certs_of_json"
 
 let site_of_json j =
   let kind =

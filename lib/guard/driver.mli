@@ -1,6 +1,19 @@
-(** Guard driver: parse NPB kernels, run the activity abstract
-    interpreter and the escape interpreter, and assemble per-variable
-    {!Cert.var_cert} certificates with pragma overlay. *)
+(** Guard driver: parse NPB kernels, walk them in the activity and
+    escape domains, and assemble per-variable {!Cert.var_cert}
+    certificates with pragma overlay. *)
+
+(** The outcomes of both walks over one kernel ([None] when a walk
+    could not start or ran out of fuel), and the notes of both, in
+    order: each walk's own notes, or one line saying it is
+    incomplete. *)
+type analysis = {
+  a_absint : Scvad_activity.Absint.outcome option;
+  a_einterp : Einterp.outcome option;
+  a_notes : string list;
+}
+
+(** Run both walks; the discover pass shares this. *)
+val walks : Scvad_activity.Model.t -> analysis
 
 (** [analyze_source ~file source] certifies the app declared in
     [source], or [None] for shared modules; findings carry pragma

@@ -1,837 +1,85 @@
-(* Escape interpreter: an abstract taint walk of one kernel's
-   post-checkpoint cone ([run] followed by [output]) over the extracted
-   {!Scvad_activity.Model}, recording every flow of checkpoint-variable
-   data into a discrete consumer.
+(* The escape domain of the kernel evaluator
+   ({!Scvad_activity.Eval}).  Activity asks "can this value reach the
+   output at all?"; the guard asks "can this value reach the output
+   through NON-SMOOTH dataflow?" — a branch predicate, an integer
+   conversion, an array subscript, a comparison, or a kink.  Each such
+   flow is recorded as a {!Cert.site} with the source location and the
+   set of state fields tainting it.
 
-   The walk mirrors the activity pass's abstract interpreter (same
-   value shapes, same closure discipline, same conservatism direction)
-   but answers a different question.  Activity asks "can this value
-   reach the output at all?"; the guard asks "can this value reach the
-   output through NON-SMOOTH dataflow?" — a branch predicate, an
-   integer conversion, an array subscript, a comparison, or a kink.
-   Each such flow is recorded as a {!Cert.site} with the source
-   location and the set of state fields tainting it.
+   Two companion facts come with the walk:
 
-   Two companion facts are computed in the same walk:
-
-   - a write-edge graph between state fields, so a taint that is
-     laundered through another field ([g <- f(x); if g > 0 ...]) still
-     reaches the escape after backward closure;
+   - its field edge graph, so a taint that is laundered through another
+     field ([g <- f(x); if g > 0 ...]) still reaches the escape after
+     backward closure;
    - a leak set: fields whose taint flowed into a callee the pass
      cannot see (an external solver, an unresolvable construct).
      Leaked fields can never be certified [Smooth] — the unseen code
-     could compare them — only [Unknown], pending a pragma.
+     could compare them — only [Unknown], pending a pragma. *)
 
-   Everything unrecognized degrades toward more escapes / more leaks,
-   never fewer; {!Incomplete} aborts the app to all-Unknown. *)
+module Eval = Scvad_activity.Eval
+module SS = Eval.SS
 
-open Parsetree
-module Model = Scvad_activity.Model
-module Effects = Scvad_activity.Effects
-module SS = Set.Make (String)
-module SM = Map.Make (String)
-
-exception Incomplete of string
-
-(* ---- abstract values ------------------------------------------------- *)
-
-type value = { taint : SS.t; sh : shape }
-
-and shape =
-  | Scalar_sh
-  | Field_arr of string
-  | Local_arr of cell
-  | State_sh
-  | Ref_sh of cell
-  | Closure_sh of closure
-
-and cell = { mutable c_val : value }
-
-and closure = {
-  cl_params : (Asttypes.arg_label * pattern) list;
-  cl_body : expression;
-  cl_env : value SM.t;
-  cl_rec : string option;
-}
-
-let opaque = { taint = SS.empty; sh = Scalar_sh }
-let scalar taint = { taint; sh = Scalar_sh }
-
-(* ---- analysis context ------------------------------------------------ *)
-
-type ctx = {
-  model : Model.t;
-  escapes : (int * Cert.escape_kind * string, SS.t ref) Hashtbl.t;
-      (* (line, kind, detail) -> tainting fields; loop passes merge *)
-  edges : (string, SS.t ref) Hashtbl.t;  (* dst field -> source fields *)
-  mutable leaked : SS.t;
-  mutable notes : string list;
-  mutable fuel : int;
-  mutable depth : int;
-}
-
-let note ctx msg =
-  if not (List.mem msg ctx.notes) then ctx.notes <- ctx.notes @ [ msg ]
-
-let fields_of ctx =
-  Hashtbl.fold (fun f _ acc -> f :: acc) ctx.model.Model.fields []
-
-let add_edge ctx srcs dst =
-  if not (SS.is_empty srcs) then
-    match Hashtbl.find_opt ctx.edges dst with
-    | Some r -> r := SS.union !r srcs
-    | None -> Hashtbl.add ctx.edges dst (ref srcs)
-
-let record_escape ctx (loc : Location.t) kind detail taint =
-  if not (SS.is_empty taint) then begin
-    let key = (loc.loc_start.Lexing.pos_lnum, kind, detail) in
-    match Hashtbl.find_opt ctx.escapes key with
-    | Some r -> r := SS.union !r taint
-    | None -> Hashtbl.add ctx.escapes key (ref taint)
-  end
-
-let leak ctx taint = ctx.leaked <- SS.union ctx.leaked taint
-
-(* Taints reachable through a value, descending refs and local
-   arrays. *)
-let rec deep_taint v =
-  match v.sh with
-  | Ref_sh c | Local_arr c -> SS.union v.taint (deep_taint c.c_val)
-  | Field_arr f -> SS.add f v.taint
-  | _ -> v.taint
-
-(* State escaped into code we cannot see: every field is leaked and may
-   be rewritten from every other. *)
-let state_escape ctx what =
-  note ctx (Printf.sprintf "state escaped to %s: all fields leak" what);
-  let fields = fields_of ctx in
-  let all = SS.of_list fields in
-  leak ctx all;
-  List.iter (fun f -> add_edge ctx all f) fields;
-  all
-
-(* A value flowing into opaque code or structure: its whole taint leaks
-   (the unseen consumer could branch on it). *)
-let rec use_value ctx v =
-  (match v.sh with
-  | State_sh -> ignore (state_escape ctx "an opaque context")
-  | Ref_sh c -> ignore (use_value ctx c.c_val)
-  | Field_arr _ | Local_arr _ | Closure_sh _ | Scalar_sh -> ());
-  let t = deep_taint v in
-  leak ctx t;
-  t
-
-(* A value boxed into a structure we do not track (tuple, record,
-   constructor).  Narrower than {!use_value}: scalar taint merges into
-   the structure's taint and keeps flowing — only array handles and the
-   state record actually leak, because their later element reads happen
-   where we cannot see them. *)
-let structured ctx v =
-  (match v.sh with
-  | Field_arr f -> leak ctx (SS.singleton f)
-  | State_sh -> ignore (state_escape ctx "a structure")
-  | Scalar_sh | Local_arr _ | Ref_sh _ | Closure_sh _ -> ());
-  deep_taint v
-
-let rec join_value ctx a b =
-  let taint = SS.union a.taint b.taint in
-  let sh =
-    match (a.sh, b.sh) with
-    | Field_arr x, Field_arr y when x = y -> a.sh
-    | Local_arr ca, Local_arr cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
-        a.sh
-    | State_sh, State_sh -> State_sh
-    | Ref_sh ca, Ref_sh cb ->
-        if ca != cb then ca.c_val <- join_raw ca.c_val cb.c_val;
-        a.sh
-    | x, y when x == y -> x
-    | x, y ->
-        if x <> Scalar_sh then ignore (use_value ctx a);
-        if y <> Scalar_sh then ignore (use_value ctx b);
-        Scalar_sh
-  in
-  { taint; sh }
-
-and join_raw a b = { a with taint = SS.union a.taint b.taint }
-
-let cell_join ctx c v = c.c_val <- join_value ctx c.c_val v
-
-(* ---- pattern binding ------------------------------------------------- *)
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it' (p : pattern) ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } -> acc := txt :: !acc
-          | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it' p);
-    }
-  in
-  it.pat it p;
-  List.rev !acc
-
-let rec bind_pattern env (p : pattern) v =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> SM.add txt v env
-  | Ppat_constraint (inner, _) -> bind_pattern env inner v
-  | Ppat_alias (inner, { txt; _ }) -> bind_pattern (SM.add txt v env) inner v
-  | Ppat_any -> env
-  | _ ->
-      List.fold_left
-        (fun env name -> SM.add name (scalar v.taint) env)
-        env (pattern_vars p)
-
-(* ---- the interpreter ------------------------------------------------- *)
-
-let direct_children (e : expression) =
-  let acc = ref [] in
-  let collector =
-    {
-      Ast_iterator.default_iterator with
-      expr = (fun _ ce -> acc := ce :: !acc);
-    }
-  in
-  Ast_iterator.default_iterator.expr collector e;
-  List.rev !acc
-
-let loop_passes = 3
-let max_depth = 80
-
-let closure_of_fn name (fn : Model.fn) =
-  {
-    cl_params = fn.Model.fn_params;
-    cl_body = fn.Model.fn_body;
-    cl_env = SM.empty;
-    cl_rec = Some name;
+module Domain = struct
+  type t = {
+    escapes : (int * Cert.escape_kind * string, SS.t ref) Hashtbl.t;
+        (* (line, kind, detail) -> tainting fields; loop passes merge *)
+    mutable leaked : SS.t;
   }
 
-let rec interp ctx env (e : expression) : value =
-  ctx.fuel <- ctx.fuel - 1;
-  if ctx.fuel <= 0 then raise (Incomplete "interpretation fuel exhausted");
-  match e.pexp_desc with
-  | Pexp_constant _ -> opaque
-  | Pexp_ident { txt; _ } -> eval_ident ctx env txt
-  | Pexp_constraint (inner, _) | Pexp_coerce (inner, _, _) ->
-      interp ctx env inner
-  | Pexp_open (_, body) -> interp ctx env body
-  | Pexp_sequence (a, b) ->
-      ignore (interp ctx env a);
-      interp ctx env b
-  | Pexp_let (rec_flag, vbs, body) ->
-      let env' =
-        List.fold_left
-          (fun acc vb ->
-            let v =
-              match split_closure ctx env rec_flag vb with
-              | Some c -> { taint = SS.empty; sh = Closure_sh c }
-              | None -> interp ctx env vb.pvb_expr
-            in
-            bind_pattern acc vb.pvb_pat v)
-          env vbs
-      in
-      interp ctx env' body
-  | Pexp_fun _ | Pexp_function _ -> (
-      match split_closure_expr ctx env e with
-      | Some c -> { taint = SS.empty; sh = Closure_sh c }
-      | None -> opaque)
-  | Pexp_field (base, { txt; _ }) -> eval_field ctx env base txt
-  | Pexp_setfield (base, { txt; _ }, rhs) ->
-      let bv = interp ctx env base in
-      let rv = interp ctx env rhs in
-      let f = Model.last_segment txt in
-      (match bv.sh with
-      | State_sh when Model.is_state_field ctx.model f ->
-          add_edge ctx (deep_taint rv) f
-      | State_sh -> ignore (state_escape ctx "a set of an unknown field")
-      | _ -> ignore (structured ctx rv));
-      opaque
-  | Pexp_ifthenelse (cond, then_e, else_e) ->
-      let cv = interp ctx env cond in
-      record_escape ctx cond.pexp_loc Cert.Branch "if condition" cv.taint;
-      let tv = interp ctx env then_e in
-      let ev =
-        match else_e with Some b -> interp ctx env b | None -> opaque
-      in
-      let v = join_value ctx tv ev in
-      { v with taint = SS.union v.taint cv.taint }
-  | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-      let sv = interp ctx env scrut in
-      let discriminates =
-        List.length cases > 1
-        || List.exists (fun (c : case) -> c.pc_guard <> None) cases
-      in
-      if discriminates then
-        record_escape ctx scrut.pexp_loc Cert.Branch "match scrutinee"
-          sv.taint;
-      interp_cases ctx env sv cases
-  | Pexp_while (cond, body) ->
-      interp_loop ctx env ~var:None ~cond:(Some cond) body
-  | Pexp_for (pat, lo, hi, _dir, body) ->
-      let lov = interp ctx env lo in
-      let hiv = interp ctx env hi in
-      let bound_taint = SS.union lov.taint hiv.taint in
-      record_escape ctx e.pexp_loc Cert.Branch "for-loop bound" bound_taint;
-      interp_loop ctx env ~var:(Some (pat, scalar bound_taint)) ~cond:None
-        body
-  | Pexp_apply (fn, args) -> interp_apply ctx env ~loc:e.pexp_loc fn args
-  | Pexp_tuple parts ->
-      let taint =
-        List.fold_left
-          (fun acc p -> SS.union acc (structured ctx (interp ctx env p)))
-          SS.empty parts
-      in
-      scalar taint
-  | Pexp_construct (_, None) -> opaque
-  | Pexp_construct (_, Some arg) ->
-      scalar (structured ctx (interp ctx env arg))
-  | Pexp_array parts ->
-      let elem =
-        List.fold_left
-          (fun acc p -> join_value ctx acc (interp ctx env p))
-          opaque parts
-      in
-      { taint = SS.empty; sh = Local_arr { c_val = elem } }
-  | Pexp_assert cond ->
-      let cv = interp ctx env cond in
-      record_escape ctx cond.pexp_loc Cert.Branch "assert condition" cv.taint;
-      opaque
-  | Pexp_lazy body -> interp ctx env body
-  | Pexp_record (fields, base) ->
-      let taint =
-        List.fold_left
-          (fun acc (_, fv) ->
-            SS.union acc (structured ctx (interp ctx env fv)))
-          SS.empty fields
-      in
-      let taint =
-        match base with
-        | Some b -> SS.union taint (deep_taint (interp ctx env b))
-        | None -> taint
-      in
-      scalar taint
-  | _ ->
-      (* Constructs outside the modeled fragment: interpret every
-         direct child; anything non-scalar leaks. *)
-      let taint =
-        List.fold_left
-          (fun acc ce -> SS.union acc (structured ctx (interp ctx env ce)))
-          SS.empty (direct_children e)
-      in
-      scalar taint
+  type ann = unit
+  type snapshot = unit
 
-and interp_cases ctx env sv cases =
-  let v =
-    List.fold_left
-      (fun av (case : case) ->
-        let env' =
-          List.fold_left
-            (fun env name -> SM.add name (scalar sv.taint) env)
-            env
-            (pattern_vars case.pc_lhs)
-        in
-        (match case.pc_guard with
-        | Some g ->
-            let gv = interp ctx env' g in
-            record_escape ctx g.pexp_loc Cert.Branch "match guard" gv.taint
-        | None -> ());
-        join_value ctx av (interp ctx env' case.pc_rhs))
-      sv cases
-  in
-  { v with taint = SS.union v.taint sv.taint }
+  (* Calls through a non-Scalar functor parameter are interpreted
+     against the in-file implementation: its body carries the real
+     escape sites (IS's [O : INT_OPS] resolves to [Plain_ops]). *)
+  let resolve_functor_params = true
+  let boxing = Eval.Hold
+  let escape_effect = "all fields leak"
+  let top = ()
+  let int_const _ = ()
+  let const_of () = None
+  let join_ann () () = ()
+  let pure _ _ = ()
+  let loop_index _ ~lo:() ~hi:() _ = ()
+  let read_all _ _ = ()
+  let read_elem _ _ () = ()
+  let kill _ _ = ()
+  let leak st taint = st.leaked <- SS.union st.leaked taint
 
-(* Loop bodies run a bounded number of passes so taints converge
-   through ref cells and the write-edge graph. *)
-and interp_loop ctx env ~var ~cond body =
-  let env' =
-    match var with
-    | Some (pat, v) -> bind_pattern env pat v
-    | None -> env
-  in
-  for _pass = 1 to loop_passes do
-    (match cond with
-    | Some c ->
-        let cv = interp ctx env' c in
-        record_escape ctx c.pexp_loc Cert.Branch "while condition" cv.taint
-    | None -> ());
-    ignore (interp ctx env' body)
-  done;
-  opaque
+  let record st (loc : Location.t) kind detail taint =
+    if not (SS.is_empty taint) then begin
+      let key = (loc.loc_start.Lexing.pos_lnum, kind, detail) in
+      match Hashtbl.find_opt st.escapes key with
+      | Some r -> r := SS.union !r taint
+      | None -> Hashtbl.add st.escapes key (ref taint)
+    end
 
-and split_closure ctx env rec_flag vb =
-  match (Model.binding_name_of vb.pvb_pat, vb.pvb_expr.pexp_desc) with
-  | Some name, (Pexp_fun _ | Pexp_function _) -> (
-      match split_closure_expr ctx env vb.pvb_expr with
-      | Some c ->
-          Some
-            {
-              c with
-              cl_rec =
-                (if rec_flag = Asttypes.Recursive then Some name else None);
-            }
-      | None -> None)
-  | _ -> None
+  let discrete st loc consumer detail taint =
+    let kind =
+      match consumer with
+      | Eval.Branch -> Cert.Branch
+      | Eval.Subscript -> Cert.Subscript
+    in
+    record st loc kind detail taint
 
-and split_closure_expr _ctx env (e : expression) =
-  let rec peel params (e : expression) =
-    match e.pexp_desc with
-    | Pexp_fun (label, _, pat, body) -> peel ((label, pat) :: params) body
-    | Pexp_newtype (_, body) -> peel params body
-    | _ -> (List.rev params, e)
-  in
-  match peel [] e with
-  | [], _ -> None
-  | params, body ->
-      Some { cl_params = params; cl_body = body; cl_env = env; cl_rec = None }
+  (* Discrete-consumer interception comes before the effects table:
+     most of the vocabulary classifies as Pure, and purity is exactly
+     what hides the escape from the activity pass. *)
+  let call st loc name vals =
+    match Escapes.classify name with
+    | Some kind ->
+        record st loc kind name
+          (List.fold_left
+             (fun acc (_, v) -> SS.union acc (Eval.deep_taint v))
+             SS.empty vals)
+    | None -> ()
 
-(* A module path resolvable against this file's own function table:
-   local modules always; non-Scalar functor parameters too, against the
-   first in-file definition of the same name (IS's [O : INT_OPS]
-   resolves to [Plain_ops], whose bodies carry the real escape
-   sites). *)
-and resolvable_module ctx head =
-  if Hashtbl.mem ctx.model.Model.local_modules head then true
-  else if Hashtbl.mem ctx.model.Model.param_modules head then begin
-    note ctx
-      (Printf.sprintf
-         "calls through functor parameter %s resolved against the first \
-          in-file definition of each operation"
-         head);
-    true
-  end
-  else false
+  let save _ = ()
+  let restore _ () = ()
+  let join () () = ()
+end
 
-and eval_ident ctx env (lid : Longident.t) =
-  match lid with
-  | Longident.Lident name -> (
-      match SM.find_opt name env with
-      | Some v -> v
-      | None -> (
-          match Model.find_fn ctx.model name with
-          | Some fn ->
-              { taint = SS.empty; sh = Closure_sh (closure_of_fn name fn) }
-          | None -> opaque))
-  | _ -> (
-      match Model.flatten lid with
-      | head :: _ when resolvable_module ctx head -> (
-          let last = Model.last_segment lid in
-          match Model.find_fn ctx.model last with
-          | Some fn ->
-              { taint = SS.empty; sh = Closure_sh (closure_of_fn last fn) }
-          | None -> opaque)
-      | _ -> opaque)
-
-and eval_field ctx env base (lid : Longident.t) =
-  let bv = interp ctx env base in
-  let f = Model.last_segment lid in
-  match bv.sh with
-  | State_sh ->
-      if Model.is_state_field ctx.model f then
-        if Hashtbl.find ctx.model.Model.fields f then
-          { taint = SS.empty; sh = Field_arr f }
-        else scalar (SS.singleton f)
-      else begin
-        ignore (state_escape ctx (Printf.sprintf "unknown field %s" f));
-        scalar (SS.singleton f)
-      end
-  | Ref_sh c when f = "contents" -> c.c_val
-  | _ -> scalar bv.taint
-
-and interp_apply ctx env ~loc fn args =
-  match fn.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      let fnv =
-        match txt with
-        | Longident.Lident name -> SM.find_opt name env
-        | _ -> None
-      in
-      match fnv with
-      | Some v -> apply_value ctx env v args
-      | None -> (
-          (* A locally-resolvable callee is interpreted, never
-             table-matched: its body carries the real escape sites. *)
-          match resolve_local_fn ctx txt with
-          | Some c ->
-              apply_value ctx env
-                { taint = SS.empty; sh = Closure_sh c }
-                args
-          | None -> (
-              let path = Model.flatten txt in
-              let vals = eval_args ctx env args in
-              (* Discrete-consumer interception comes first: most of the
-                 vocabulary classifies as Pure, and purity is exactly
-                 what hides the escape from the activity pass. *)
-              (match Escapes.classify (Model.last_segment txt) with
-              | Some kind ->
-                  let taint =
-                    List.fold_left
-                      (fun acc (_, v) -> SS.union acc (deep_taint v))
-                      SS.empty vals
-                  in
-                  record_escape ctx loc kind (Model.last_segment txt) taint
-              | None -> ());
-              let pure_module m =
-                Hashtbl.mem ctx.model.Model.pure_modules m
-              in
-              match Effects.classify ~pure_module path with
-              | Effects.Pure ->
-                  scalar
-                    (List.fold_left
-                       (fun acc (_, v) -> SS.union acc (deep_taint v))
-                       SS.empty vals)
-              | Effects.Array_length ->
-                  (* Length is layout metadata, independent of the
-                     checkpointed element values: untainted. *)
-                  opaque
-              | Effects.Array_get -> apply_array_get ctx ~loc vals
-              | Effects.Array_set -> apply_array_set ctx ~loc vals
-              | Effects.Array_alloc -> apply_array_alloc ctx vals
-              | Effects.Ref_make -> apply_ref_make ctx vals
-              | Effects.Array_init -> apply_array_init ctx vals
-              | Effects.Array_hof h -> apply_hof ctx h vals
-              | Effects.Array_fill -> apply_array_fill ctx ~loc vals
-              | Effects.Array_blit -> apply_array_blit ctx vals
-              | Effects.Array_sort -> apply_array_sort ctx vals
-              | Effects.Deref -> apply_deref ctx vals
-              | Effects.Assign -> apply_assign ctx vals
-              | Effects.Incr | Effects.Ignore | Effects.Raise -> opaque
-              | Effects.Vranlc -> apply_vranlc ctx vals
-              | Effects.Unknown_call -> unknown_call ctx vals)))
-  | _ ->
-      let fnv = interp ctx env fn in
-      apply_value ctx env fnv args
-
-and resolve_local_fn ctx (lid : Longident.t) =
-  let resolvable =
-    match lid with
-    | Longident.Lident name -> Model.find_fn ctx.model name <> None
-    | _ -> (
-        match Model.flatten lid with
-        | head :: _ -> resolvable_module ctx head
-        | [] -> false)
-  in
-  if not resolvable then None
-  else
-    let last = Model.last_segment lid in
-    Option.map (closure_of_fn last) (Model.find_fn ctx.model last)
-
-and eval_args ctx env args =
-  List.map (fun (label, a) -> (label, interp ctx env a)) args
-
-and positional vals =
-  List.filter_map
-    (fun (label, v) ->
-      match label with Asttypes.Nolabel -> Some v | _ -> None)
-    vals
-
-and apply_value ctx env fnv args =
-  let vals = eval_args ctx env args in
-  match fnv.sh with
-  | Closure_sh c -> apply_closure ctx c vals
-  | Ref_sh cell -> (
-      match cell.c_val.sh with
-      | Closure_sh c -> apply_closure ctx c vals
-      | _ -> unknown_call ctx vals)
-  | _ ->
-      ignore env;
-      unknown_call ctx vals
-
-and apply_closure ctx c vals =
-  if ctx.depth >= max_depth then begin
-    note ctx "call depth limit hit: treating a call conservatively";
-    unknown_call ctx vals
-  end
-  else begin
-    ctx.depth <- ctx.depth + 1;
-    let result = apply_closure_inner ctx c vals in
-    ctx.depth <- ctx.depth - 1;
-    result
-  end
-
-and apply_closure_inner ctx c vals =
-  let env =
-    match c.cl_rec with
-    | Some name ->
-        SM.add name { taint = SS.empty; sh = Closure_sh c } c.cl_env
-    | None -> c.cl_env
-  in
-  let labelled_vals =
-    List.filter_map
-      (fun (label, v) ->
-        match label with
-        | Asttypes.Labelled l | Asttypes.Optional l -> Some (l, v)
-        | Asttypes.Nolabel -> None)
-      vals
-  in
-  let pos_vals = ref (positional vals) in
-  let take_pos () =
-    match !pos_vals with
-    | v :: rest ->
-        pos_vals := rest;
-        Some v
-    | [] -> None
-  in
-  let rec bind env params =
-    match params with
-    | [] -> (env, [])
-    | (label, pat) :: rest -> (
-        let arg =
-          match label with
-          | Asttypes.Labelled l | Asttypes.Optional l ->
-              List.assoc_opt l labelled_vals
-          | Asttypes.Nolabel -> take_pos ()
-        in
-        match arg with
-        | Some v -> bind (bind_pattern env pat v) rest
-        | None -> (
-            match label with
-            | Asttypes.Optional _ -> bind (bind_pattern env pat opaque) rest
-            | _ -> (env, params)))
-  in
-  let env, remaining = bind env c.cl_params in
-  if remaining <> [] then
-    {
-      taint = SS.empty;
-      sh = Closure_sh { c with cl_params = remaining; cl_env = env };
-    }
-  else
-    let result = interp ctx env c.cl_body in
-    match !pos_vals with
-    | [] -> result
-    | extra -> (
-        match result.sh with
-        | Closure_sh c' ->
-            apply_closure ctx c'
-              (List.map (fun v -> (Asttypes.Nolabel, v)) extra)
-        | _ ->
-            unknown_call ctx
-              (List.map (fun v -> (Asttypes.Nolabel, v)) extra))
-
-(* Unknown callee: every argument's taint leaks (the unseen code could
-   branch on it), array arguments may be rewritten with cross-argument
-   flow, closures may be invoked. *)
-and unknown_call ctx vals =
-  let taints =
-    List.fold_left
-      (fun acc (_, v) -> SS.union acc (use_value ctx v))
-      SS.empty vals
-  in
-  let taints =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with
-        | State_sh -> SS.union acc (state_escape ctx "an unknown call")
-        | Closure_sh c -> SS.union acc (deep_taint (force_closure ctx c))
-        | _ -> acc)
-      taints vals
-  in
-  List.iter
-    (fun (_, v) ->
-      match v.sh with
-      | Field_arr f -> add_edge ctx taints f
-      | Local_arr cell | Ref_sh cell -> cell_join ctx cell (scalar taints)
-      | _ -> ())
-    vals;
-  scalar taints
-
-and force_closure ctx c =
-  apply_closure ctx c
-    (List.map (fun (label, _) -> (label, opaque)) c.cl_params)
-
-and apply_array_get ctx ~loc vals =
-  match positional vals with
-  | [ arr; idx ] ->
-      record_escape ctx loc Cert.Subscript "array read index" idx.taint;
-      (match arr.sh with
-      | Field_arr f -> scalar (SS.union (SS.add f arr.taint) idx.taint)
-      | Local_arr cell ->
-          {
-            cell.c_val with
-            taint =
-              SS.union (deep_taint cell.c_val)
-                (SS.union arr.taint idx.taint);
-          }
-      | _ -> scalar (SS.union arr.taint idx.taint))
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_array_set ctx ~loc vals =
-  match positional vals with
-  | [ arr; idx; v ] ->
-      record_escape ctx loc Cert.Subscript "array write index" idx.taint;
-      let srcs = SS.union (deep_taint v) idx.taint in
-      (match arr.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell { v with taint = srcs }
-      | _ -> ignore (structured ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_array_alloc _ctx vals =
-  let taint =
-    List.fold_left
-      (fun acc (_, v) -> SS.union acc (deep_taint v))
-      SS.empty vals
-  in
-  { taint = SS.empty; sh = Local_arr { c_val = scalar taint } }
-
-and apply_ref_make _ctx vals =
-  let init =
-    match positional vals with [ v ] -> v | _ -> opaque
-  in
-  { taint = SS.empty; sh = Ref_sh { c_val = init } }
-
-and apply_array_init ctx vals =
-  match positional vals with
-  | [ n; f ] ->
-      let elem =
-        match f.sh with
-        | Closure_sh c -> apply_closure ctx c [ (Asttypes.Nolabel, opaque) ]
-        | _ -> scalar (deep_taint f)
-      in
-      let elem = { elem with taint = SS.union elem.taint n.taint } in
-      { taint = SS.empty; sh = Local_arr { c_val = elem } }
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_hof ctx kind vals =
-  let arrays, fns =
-    List.partition
-      (fun (_, v) ->
-        match v.sh with Field_arr _ | Local_arr _ -> true | _ -> false)
-      vals
-  in
-  let elem_taint =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with
-        | Field_arr f -> SS.add f acc
-        | Local_arr cell -> SS.union acc (deep_taint cell.c_val)
-        | _ -> acc)
-      SS.empty arrays
-  in
-  let closure =
-    List.find_map
-      (fun (_, v) -> match v.sh with Closure_sh c -> Some c | _ -> None)
-      fns
-  in
-  let other_taint =
-    List.fold_left
-      (fun acc (_, v) ->
-        match v.sh with Closure_sh _ -> acc | _ -> SS.union acc (deep_taint v))
-      SS.empty fns
-  in
-  let elem = scalar (SS.union elem_taint other_taint) in
-  let apply_cb args_for_cb =
-    match closure with
-    | Some c ->
-        apply_closure ctx c
-          (List.map (fun v -> (Asttypes.Nolabel, v)) args_for_cb)
-    | None -> scalar (SS.union elem_taint other_taint)
-  in
-  match kind with
-  | Effects.Iter ->
-      ignore (apply_cb [ elem ]);
-      ignore (apply_cb [ elem ]);
-      opaque
-  | Effects.Iteri ->
-      ignore (apply_cb [ opaque; elem ]);
-      ignore (apply_cb [ opaque; elem ]);
-      opaque
-  | Effects.Map ->
-      let r = apply_cb [ elem ] in
-      {
-        taint = SS.empty;
-        sh =
-          Local_arr
-            { c_val = scalar (SS.union (deep_taint r) elem.taint) };
-      }
-  | Effects.Fold ->
-      let acc0 = scalar other_taint in
-      let acc1 = apply_cb [ acc0; elem ] in
-      let acc2 =
-        apply_cb [ scalar (SS.union (deep_taint acc1) elem.taint); elem ]
-      in
-      scalar (SS.union (deep_taint acc2) (SS.union elem_taint other_taint))
-
-and apply_array_fill ctx ~loc vals =
-  match positional vals with
-  | [ arr; pos; len; v ] ->
-      record_escape ctx loc Cert.Subscript "fill bounds"
-        (SS.union pos.taint len.taint);
-      let srcs = SS.union (deep_taint v) (SS.union pos.taint len.taint) in
-      (match arr.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell { v with taint = srcs }
-      | _ -> ignore (structured ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_array_blit ctx vals =
-  match positional vals with
-  | [ src; _spos; dst; _dpos; _len ] ->
-      let srcs =
-        match src.sh with
-        | Field_arr f -> SS.add f src.taint
-        | Local_arr cell -> deep_taint cell.c_val
-        | _ -> src.taint
-      in
-      (match dst.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell (scalar srcs)
-      | _ -> ());
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-(* A comparison sort consumes every element discretely. *)
-and apply_array_sort ctx vals =
-  List.iter
-    (fun (_, v) ->
-      match v.sh with
-      | Field_arr f -> add_edge ctx (SS.singleton f) f
-      | _ -> ())
-    vals;
-  opaque
-
-and apply_deref ctx vals =
-  match positional vals with
-  | [ r ] -> (
-      match r.sh with
-      | Ref_sh cell ->
-          { cell.c_val with taint = SS.union cell.c_val.taint r.taint }
-      | _ -> scalar r.taint)
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-and apply_assign ctx vals =
-  match positional vals with
-  | [ r; v ] ->
-      (match r.sh with
-      | Ref_sh cell -> cell_join ctx cell v
-      | _ -> ignore (structured ctx v));
-      opaque
-  | vals -> unknown_call ctx (List.map (fun v -> (Asttypes.Nolabel, v)) vals)
-
-(* [Nprand.vranlc]: writes fresh deviates into the array argument; the
-   control parameters flow in, nothing escapes discretely. *)
-and apply_vranlc ctx vals =
-  let srcs =
-    List.fold_left
-      (fun acc (_, v) -> SS.union acc (deep_taint v))
-      SS.empty vals
-  in
-  (match positional vals with
-  | [ _rng; _count; arr; _off ] -> (
-      match arr.sh with
-      | Field_arr f -> add_edge ctx srcs f
-      | Local_arr cell -> cell_join ctx cell (scalar srcs)
-      | _ -> ())
-  | _ -> ());
-  opaque
-
-(* ---- entry ----------------------------------------------------------- *)
+module Walk = Eval.Make (Domain)
 
 type outcome = {
   e_escapes : (Cert.site * SS.t) list;
@@ -840,76 +88,27 @@ type outcome = {
   e_notes : string list;
 }
 
-(* Backward closure over the write-edge graph: a field that flows into
-   a tainting field is itself tainting (laundering through another
-   field does not wash the escape away). *)
-let close_taint ctx seed =
-  let visited = Hashtbl.create 16 in
-  let rec go f =
-    if not (Hashtbl.mem visited f) then begin
-      Hashtbl.add visited f ();
-      match Hashtbl.find_opt ctx.edges f with
-      | Some srcs -> SS.iter go !srcs
-      | None -> ()
-    end
-  in
-  SS.iter go seed;
-  Hashtbl.fold
-    (fun f _ acc ->
-      if Model.is_state_field ctx.model f then SS.add f acc else acc)
-    visited SS.empty
-
-let analyze (model : Model.t) : outcome =
-  let run =
-    match Model.find_fn model "run" with
-    | Some fn -> fn
-    | None -> raise (Incomplete "no run function found")
-  in
-  let output =
-    match Model.find_fn model "output" with
-    | Some fn -> fn
-    | None -> raise (Incomplete "no output function found")
-  in
-  let ctx =
-    {
-      model;
-      escapes = Hashtbl.create 32;
-      edges = Hashtbl.create 32;
-      leaked = SS.empty;
-      notes = [];
-      fuel = 50_000_000;
-      depth = 0;
-    }
-  in
-  let bind_params params =
-    List.fold_left
-      (fun (env, first) (_label, pat) ->
-        let v = if first then { taint = SS.empty; sh = State_sh } else opaque in
-        (bind_pattern env pat v, false))
-      (SM.empty, true) params
-    |> fst
-  in
-  ignore (interp ctx (bind_params run.Model.fn_params) run.Model.fn_body);
-  ignore
-    (interp ctx (bind_params output.Model.fn_params) output.Model.fn_body);
+let analyze (model : Scvad_activity.Model.t) : outcome =
+  let st = { Domain.escapes = Hashtbl.create 32; leaked = SS.empty } in
+  let w = Walk.walk st model in
   let escapes =
     Hashtbl.fold
       (fun (line, kind, detail) taint acc ->
         ( {
-            Cert.s_file = model.Model.file;
+            Cert.s_file = model.Scvad_activity.Model.file;
             s_line = line;
             s_kind = kind;
             s_detail = detail;
           },
-          close_taint ctx !taint )
+          Eval.closure w !taint )
         :: acc)
-      ctx.escapes []
+      st.Domain.escapes []
     |> List.sort (fun ((a : Cert.site), _) (b, _) ->
            compare (a.Cert.s_line, a.Cert.s_kind, a.Cert.s_detail)
              (b.Cert.s_line, b.Cert.s_kind, b.Cert.s_detail))
   in
   {
     e_escapes = escapes;
-    e_leaked = close_taint ctx ctx.leaked;
-    e_notes = ctx.notes;
+    e_leaked = Eval.closure w st.Domain.leaked;
+    e_notes = w.Eval.notes;
   }

@@ -45,6 +45,14 @@ type result = {
   allow_notes : allow_note list;
 }
 
+(** The whole contents of a file. *)
+val read_file : string -> string
+
+(** Parse an implementation with compiler-libs; a syntax or lexing
+    error becomes a [Syntax] finding at its line. *)
+val parse :
+  file:string -> string -> (Parsetree.structure, Finding.t) Stdlib.result
+
 (** [lint_paths paths] lints every [.ml] file among [paths]
     (directories are walked recursively; [_*] and dot entries are
     skipped).  Deterministic: files and findings are sorted. *)

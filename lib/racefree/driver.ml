@@ -157,7 +157,7 @@ let certify ~root =
     | Some t -> t
     | None ->
         let t, errs =
-          try Rfpragma.scan ~file (Rmodel.read_file file)
+          try Rfpragma.scan ~file (Scvad_lint.Driver.read_file file)
           with Sys_error _ -> Rfpragma.scan ~file ""
         in
         pragma_findings := !pragma_findings @ errs;
@@ -350,31 +350,21 @@ type site_row = {
   j_verdict : string;
 }
 
-let jstr key j =
-  match Ljson.member key j with
-  | Some (Ljson.Str s) -> s
-  | _ -> failwith (Printf.sprintf "sites_of_json: missing string %S" key)
-
-let jint key j =
-  match Ljson.member key j with
-  | Some (Ljson.Int n) -> n
-  | _ -> failwith (Printf.sprintf "sites_of_json: missing int %S" key)
+let jstr = Ljson.jstr "sites_of_json"
+let jint = Ljson.jint "sites_of_json"
 
 let sites_of_json s =
   let j = Ljson.of_string s in
-  match Ljson.member "sites" j with
-  | Some (Ljson.Arr rows) ->
-      List.map
-        (fun row ->
-          {
-            j_file = jstr "file" row;
-            j_line = jint "line" row;
-            j_kind =
-              (match Verdict.site_kind_of_name (jstr "kind" row) with
-              | Some k -> k
-              | None -> failwith "sites_of_json: unknown site kind");
-            j_context = jstr "context" row;
-            j_verdict = jstr "verdict" row;
-          })
-        rows
-  | _ -> failwith "sites_of_json: missing array \"sites\""
+  List.map
+    (fun row ->
+      {
+        j_file = jstr "file" row;
+        j_line = jint "line" row;
+        j_kind =
+          (match Verdict.site_kind_of_name (jstr "kind" row) with
+          | Some k -> k
+          | None -> failwith "sites_of_json: unknown site kind");
+        j_context = jstr "context" row;
+        j_verdict = jstr "verdict" row;
+      })
+    (Ljson.jarr "sites_of_json" "sites" j)

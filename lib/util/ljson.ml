@@ -198,3 +198,13 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let field kind extract where key j =
+  match Option.bind (member key j) extract with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "%s: missing %s %S" where kind key)
+
+let jstr = field "string" (function Str s -> Some s | _ -> None)
+let jint = field "int" (function Int n -> Some n | _ -> None)
+let jbool = field "bool" (function Bool b -> Some b | _ -> None)
+let jarr = field "array" (function Arr xs -> Some xs | _ -> None)

@@ -21,3 +21,12 @@ val of_string : string -> t
 
 (** Object field lookup; [None] on non-objects and absent keys. *)
 val member : string -> t -> t option
+
+(** Required object fields: [jstr where key j] is the string under [key],
+    and raises [Failure "<where>: missing string <key>"] when it is
+    absent or not a string; likewise for ints, bools and arrays. *)
+val jstr : string -> string -> t -> string
+
+val jint : string -> string -> t -> int
+val jbool : string -> string -> t -> bool
+val jarr : string -> string -> t -> t list

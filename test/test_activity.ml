@@ -253,7 +253,7 @@ let test_unsound_claims () =
 (* Pragmas, on a synthetic kernel                                      *)
 (* ------------------------------------------------------------------ *)
 
-let toy_source ~pragma =
+let toy_source ?(output = "output") ~pragma () =
   Printf.sprintf
     {|
 let n = 4
@@ -277,7 +277,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       st.iter_done <- st.iter_done + 1
     done
 
-  let output st = st.acc
+  let %s st = st.acc
 
   let float_vars st =
     let open Scvad_core.Variable in
@@ -293,10 +293,10 @@ module App = struct
   let name = "toy"
 end
 |}
-    pragma
+    output pragma
 
 let analyze_toy ~pragma =
-  Driver.analyze_source ~file:"toy.ml" (toy_source ~pragma)
+  Driver.analyze_source ~file:"toy.ml" (toy_source ~pragma ())
 
 let toy_verdict ~pragma var =
   match analyze_toy ~pragma with
@@ -354,6 +354,96 @@ let test_toy_unused_pragma_warns () =
         (Finding.severity_name f.Finding.severity)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* Without an [output] function the walk cannot start: every variable
+   is Unknown and the app unresolved, never a guessed verdict. *)
+let test_toy_incomplete_is_unknown () =
+  match
+    Driver.analyze_source ~file:"toy.ml"
+      (toy_source ~output:"report" ~pragma:"" ())
+  with
+  | None, _ -> Alcotest.fail "toy kernel not recognized as an app"
+  | Some av, _ ->
+      Alcotest.(check bool) "unresolved" false av.Verdict.resolved;
+      List.iter
+        (fun (v : Verdict.var_verdict) ->
+          Alcotest.(check string)
+            (v.Verdict.var ^ " class")
+            "unknown"
+            (Verdict.class_name v.Verdict.class_))
+        av.Verdict.vars;
+      Alcotest.(check (list string))
+        "notes"
+        [ "analysis incomplete: no output function found" ]
+        av.Verdict.notes
+
+(* ------------------------------------------------------------------ *)
+(* Call resolution through a functor parameter                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel compares a state field through [O : OPS], a functor
+   parameter that is not [Scalar.S] and whose implementation
+   ([Plain_ops]) is in the same file.  The guard resolves the call
+   against the in-file body and sees the comparison inside it; the
+   activity pass treats the call as unknown code, so [scratch], passed
+   as an argument, counts as read.  Shared with the guard tests. *)
+let policy_source =
+  {|
+let n = 4
+
+module type OPS = sig
+  val exceeds : float array -> float -> bool
+end
+
+module Plain_ops = struct
+  let exceeds _unused x = x > 0.
+end
+
+module Make_generic (O : OPS) (S : Scvad_ad.Scalar.S) = struct
+  type state = {
+    mutable acc : S.t;
+    scratch : float array;
+    mutable iter_done : int;
+  }
+
+  let create () =
+    { acc = S.zero; scratch = Array.make n 0.; iter_done = 0 }
+
+  let run st ~from ~until =
+    for _ = from to until - 1 do
+      if O.exceeds st.scratch (S.to_float st.acc) then
+        st.acc <- S.(st.acc +. st.acc);
+      st.iter_done <- st.iter_done + 1
+    done
+
+  let output st = st.acc
+
+  let float_vars st =
+    let open Scvad_core.Variable in
+    [ make ~name:"acc" ~shape:Scvad_nd.Shape.scalar ~spe:1
+        ~get:(fun _ _ -> st.acc)
+        ~set:(fun _ _ v -> st.acc <- v)
+        ();
+      of_array ~name:"scratch" (Scvad_nd.Shape.create [ n ]) st.scratch ]
+end
+
+module App = struct
+  let name = "toy"
+end
+|}
+
+let test_policy_functor_param_unresolved () =
+  match Driver.analyze_source ~file:"toy.ml" policy_source with
+  | None, _ -> Alcotest.fail "toy kernel not recognized as an app"
+  | Some av, _ ->
+      let cls var =
+        match Verdict.find_var av ~var with
+        | Some v -> Verdict.class_name v.Verdict.class_
+        | None -> Alcotest.failf "no verdict for toy.%s" var
+      in
+      Alcotest.(check string) "acc" "statically-active" (cls "acc");
+      Alcotest.(check string) "scratch" "unknown" (cls "scratch");
+      Alcotest.(check (list string)) "notes" [] av.Verdict.notes
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -387,6 +477,10 @@ let suites =
           test_toy_pragma_needs_reason;
         Alcotest.test_case "unused pragma warns" `Quick
           test_toy_unused_pragma_warns;
+        Alcotest.test_case "no output function: all unknown (toy)" `Quick
+          test_toy_incomplete_is_unknown;
+        Alcotest.test_case "functor-parameter call stays unknown (toy)"
+          `Quick test_policy_functor_param_unresolved;
         Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "JSON parser rejects garbage" `Quick
           test_json_rejects_garbage;

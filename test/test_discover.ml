@@ -201,7 +201,7 @@ let test_discovered_mode_masks_identical () =
 (* Pragmas, on a synthetic kernel                                      *)
 (* ------------------------------------------------------------------ *)
 
-let toy_source ~pragma =
+let toy_source ?(output = "output") ~pragma () =
   Printf.sprintf
     {|
 let n = 4
@@ -226,7 +226,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       st.iter_done <- st.iter_done + 1
     done
 
-  let output st = st.acc
+  let %s st = st.acc
 
   let float_vars st =
     let open Scvad_core.Variable in
@@ -241,10 +241,10 @@ module App = struct
   let name = "toy"
 end
 |}
-    pragma
+    pragma output
 
 let analyze_toy ~pragma =
-  Driver.analyze_source ~file:"toy.ml" (toy_source ~pragma)
+  Driver.analyze_source ~file:"toy.ml" (toy_source ~pragma ())
 
 let toy_field ~pragma field =
   match analyze_toy ~pragma with
@@ -315,6 +315,24 @@ let test_toy_unused_pragma_warns () =
         (Finding.severity_name f.Finding.severity)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
+(* Without an [output] function the walks cannot start: the app is
+   unresolved and every field stays in the proposed set as Unknown. *)
+let test_toy_incomplete_is_unresolved () =
+  match
+    Driver.analyze_source ~file:"toy.ml"
+      (toy_source ~output:"report" ~pragma:"" ())
+  with
+  | None, _ -> Alcotest.fail "toy kernel not recognized as an app"
+  | Some a, _ ->
+      Alcotest.(check bool) "unresolved" false a.Rank.r_resolved;
+      List.iter
+        (fun (f : Rank.field_rank) ->
+          Alcotest.(check string)
+            (f.Rank.f_field ^ " verdict")
+            "unknown"
+            (Rank.verdict_name f.Rank.f_verdict))
+        a.Rank.r_fields
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -351,6 +369,8 @@ let suites =
           test_toy_pragma_bad_verdict;
         Alcotest.test_case "unused pragma warns" `Quick
           test_toy_unused_pragma_warns;
+        Alcotest.test_case "no output function: unresolved (toy)" `Quick
+          test_toy_incomplete_is_unresolved;
         Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "JSON parser rejects garbage" `Quick
           test_json_rejects_garbage;

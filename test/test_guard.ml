@@ -138,7 +138,7 @@ let test_is_escape_sites () =
 (* Escape detection on a synthetic kernel                              *)
 (* ------------------------------------------------------------------ *)
 
-let toy_source ~body ~pragma =
+let toy_source ~output ~body ~pragma =
   Printf.sprintf
     {|
 let n = 4
@@ -159,7 +159,7 @@ module Make_generic (S : Scvad_ad.Scalar.S) = struct
       st.iter_done <- st.iter_done + 1
     done
 
-  let output st = st.acc
+  let %s st = st.acc
 
   let float_vars st =
     let open Scvad_core.Variable in
@@ -175,10 +175,10 @@ module App = struct
   let name = "toy"
 end
 |}
-    body pragma
+    body output pragma
 
-let toy_certs ?(pragma = "") body =
-  Driver.analyze_source ~file:"toy.ml" (toy_source ~body ~pragma)
+let toy_certs ?(pragma = "") ?(output = "output") body =
+  Driver.analyze_source ~file:"toy.ml" (toy_source ~output ~body ~pragma)
 
 let toy_cert ?pragma body var =
   match toy_certs ?pragma body with
@@ -287,6 +287,50 @@ let test_toy_pragma_unused_warns () =
       Alcotest.(check string) "warning severity" "warning"
         (Finding.severity_name f.Finding.severity)
   | _, fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+(* Without an [output] function neither walk can start: every
+   certificate is Unknown. *)
+let test_toy_incomplete_is_unknown () =
+  match toy_certs ~output:"report" smooth_body with
+  | None, _ -> Alcotest.fail "toy kernel not recognized as an app"
+  | Some ac, _ ->
+      Alcotest.(check bool) "unresolved" false ac.Cert.resolved;
+      List.iter
+        (fun (v : Cert.var_cert) ->
+          Alcotest.(check string)
+            (v.Cert.var ^ " class")
+            "unknown"
+            (Cert.class_name v.Cert.class_))
+        ac.Cert.certs
+
+(* A comparison reached through a non-Scalar.S functor parameter is
+   resolved against the in-file implementation: the escape is reported
+   inside [Plain_ops], beside the branch in [run]. *)
+let test_policy_functor_param_resolved () =
+  match Driver.analyze_source ~file:"toy.ml" Test_activity.policy_source with
+  | None, _ -> Alcotest.fail "toy kernel not recognized as an app"
+  | Some ac, _ ->
+      let cert var =
+        match Cert.find_var ac ~var with
+        | Some v -> v
+        | None -> Alcotest.failf "no certificate for toy.%s" var
+      in
+      let acc = cert "acc" in
+      Alcotest.(check string) "acc class" "control-tainted"
+        (Cert.class_name acc.Cert.class_);
+      Alcotest.(check (list string))
+        "acc sites"
+        [ "toy.ml:9 compare (>)"; "toy.ml:24 branch (if condition)" ]
+        (List.map Cert.site_to_string acc.Cert.sites);
+      Alcotest.(check string) "scratch class" "smooth"
+        (Cert.class_name (cert "scratch").Cert.class_);
+      Alcotest.(check (list string))
+        "notes"
+        [
+          "calls through functor parameter O resolved against the first \
+           in-file definition of each operation";
+        ]
+        ac.Cert.notes
 
 (* ------------------------------------------------------------------ *)
 (* IS falsifier golden witnesses                                       *)
@@ -523,6 +567,10 @@ let suites =
           test_toy_pragma_unknown_class;
         Alcotest.test_case "unused pragma warns" `Quick
           test_toy_pragma_unused_warns;
+        Alcotest.test_case "no output function: all unknown (toy)" `Quick
+          test_toy_incomplete_is_unknown;
+        Alcotest.test_case "functor-parameter call resolved (toy)" `Quick
+          test_policy_functor_param_resolved;
         Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "JSON parser rejects garbage" `Quick
           test_json_rejects_garbage;
