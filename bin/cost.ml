@@ -98,7 +98,7 @@ let check_planned world =
               default |> with_niter niter
               |> with_memory_budget budget_nodes
               |> with_schedule
-                   (Scvad_ad.Tape.Segmented.Planned plan.Plan.boundaries))
+                   (Scvad_ad.Tape.Planned plan.Plan.boundaries))
           (module A)
       in
       List.iter

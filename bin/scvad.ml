@@ -77,25 +77,7 @@ let jobs_arg =
    per node slot, so e.g. 6M nodes is ~144 MiB of tape. *)
 let budget_conv =
   let parse s =
-    let fail () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid node count %S (expected e.g. 500000, 500k, 6M)" s))
-    in
-    let n = String.length s in
-    if n = 0 then fail ()
-    else
-      let mult, digits =
-        match s.[n - 1] with
-        | 'k' | 'K' -> (1_000., String.sub s 0 (n - 1))
-        | 'm' | 'M' -> (1_000_000., String.sub s 0 (n - 1))
-        | 'g' | 'G' -> (1_000_000_000., String.sub s 0 (n - 1))
-        | _ -> (1., s)
-      in
-      match float_of_string_opt digits with
-      | Some v when v *. mult >= 1. -> Ok (int_of_float (v *. mult))
-      | Some _ | None -> fail ()
+    Result.map_error (fun m -> `Msg m) (Scvad_ad.Tape.budget_of_string s)
   in
   Arg.conv ~docv:"NODES" (parse, Format.pp_print_int)
 
@@ -118,18 +100,13 @@ let memory_budget_arg =
 let schedule_arg =
   let doc =
     "Recompute-vs-store schedule under --memory-budget: $(b,binomial)
-     (optimal re-snapshotting during replay), $(b,log-stride) (doubling
-     snapshot stride, replay from retained snapshots only),
-     $(b,all-store) (never discard; the budget is ignored), or
-     $(b,planned) (snapshot boundaries computed offline by the static
-     cost model before any recording)."
+     (doubling snapshot stride while recording, optimal re-snapshotting
+     during replay) or $(b,planned) (snapshot boundaries computed
+     offline by the static cost model before any recording)."
   in
   Arg.(
     value
-    & opt (enum
-             [ ("binomial", `Binomial); ("log-stride", `Log_stride);
-               ("all-store", `All_store); ("planned", `Planned) ])
-        `Binomial
+    & opt (enum [ ("binomial", `Binomial); ("planned", `Planned) ]) `Binomial
     & info [ "tape-schedule" ] ~doc)
 
 let dir_arg =
@@ -297,7 +274,7 @@ let plan_arg =
 
 let auto_capacity_arg =
   let doc =
-    "Size the dense reverse tape from the static cost model's exact
+    "Size the unbounded reverse tape from the static cost model's exact
      prediction instead of the benchmark's hand-maintained
      tape_nodes_hint (reverse mode without --memory-budget)."
   in
@@ -342,7 +319,7 @@ let analyze_cmd =
     handle
       ( find_app name >>= fun (module A : Scvad_core.App.S) ->
         (* The planned schedule and the dry run both consult the static
-           cost model; the closed-form schedules never do. *)
+           cost model; the binomial schedule never does. *)
         let wants_cost =
           dry_run || auto_capacity
           || (schedule = `Planned && memory_budget <> None)
@@ -370,12 +347,10 @@ let analyze_cmd =
         else
           let schedule =
             match schedule with
-            | `Binomial -> Scvad_ad.Tape.Segmented.Binomial
-            | `Log_stride -> Scvad_ad.Tape.Segmented.Log_stride
-            | `All_store -> Scvad_ad.Tape.Segmented.All_store
+            | `Binomial -> Scvad_ad.Tape.Binomial
             | `Planned ->
                 let _, pl = Option.get planned in
-                Scvad_ad.Tape.Segmented.Planned pl.Scvad_cost.Plan.boundaries
+                Scvad_ad.Tape.Planned pl.Scvad_cost.Plan.boundaries
           in
           let capacity_hint =
             if auto_capacity && memory_budget = None then

@@ -100,110 +100,6 @@ end) : Scalar.S with type t = t = struct
   let ( >= ) a b = a.v >= b.v
 end
 
-(* Generic front end over any TAPE backend.  The dense path above stays
-   direct (no functor indirection on the 7.6 ns/node hot path); backends
-   that already pay replay bookkeeping per push — Tape.Segmented — go
-   through here.  The node type is shared, so Variable plumbing and
-   capture snapshots work identically for every backend. *)
-module Make (T : Tape_intf.TAPE) = struct
-  let var tape v = { id = T.fresh_var tape; v }
-  let lift tape x = if is_const x then var tape x.v else x
-
-  module Scalar_of (Tp : sig
-    val tape : T.t
-  end) : Scalar.S with type t = t = struct
-    type nonrec t = t
-
-    let tape = Tp.tape
-    let zero = const 0.
-    let one = const 1.
-    let of_float v = const v
-    let of_int i = const (float_of_int i)
-    let to_float x = x.v
-
-    let[@inline] node1 v p dp = { id = T.push1 tape p.id dp; v }
-
-    let[@inline] node2 v a da b db =
-      { id = T.push2 tape a.id da b.id db; v }
-
-    let[@inline] ( +. ) a b =
-      let v = a.v +. b.v in
-      if a.id < 0 && b.id < 0 then const v else node2 v a 1. b 1.
-
-    let[@inline] ( -. ) a b =
-      let v = a.v -. b.v in
-      if a.id < 0 && b.id < 0 then const v else node2 v a 1. b (-1.)
-
-    let[@inline] ( *. ) a b =
-      let v = a.v *. b.v in
-      if a.id < 0 && b.id < 0 then const v else node2 v a b.v b a.v
-
-    let[@inline] ( /. ) a b =
-      let v = a.v /. b.v in
-      if a.id < 0 && b.id < 0 then const v
-      else node2 v a Stdlib.(1. /. b.v) b Stdlib.(-.a.v /. (b.v *. b.v))
-
-    let[@inline] ( ~-. ) a =
-      let v = -.a.v in
-      if a.id < 0 then const v else node1 v a (-1.)
-
-    let sqrt a =
-      let v = Stdlib.sqrt a.v in
-      if a.id < 0 then const v else node1 v a Stdlib.(0.5 /. v)
-
-    let exp a =
-      let v = Stdlib.exp a.v in
-      if a.id < 0 then const v else node1 v a v
-
-    let log a =
-      let v = Stdlib.log a.v in
-      if a.id < 0 then const v else node1 v a Stdlib.(1. /. a.v)
-
-    let sin a =
-      let v = Stdlib.sin a.v in
-      if a.id < 0 then const v else node1 v a (Stdlib.cos a.v)
-
-    let cos a =
-      let v = Stdlib.cos a.v in
-      if a.id < 0 then const v else node1 v a Stdlib.(-.sin a.v)
-
-    (* Same subgradient convention as the dense scalar: keep the
-       dependence at 0 so reads through [abs] are never misclassified. *)
-    let abs a =
-      let v = Stdlib.abs_float a.v in
-      if a.id < 0 then const v
-      else node1 v a (if a.v >= 0. then 1. else -1.)
-
-    let max a b =
-      if a.id < 0 && b.id < 0 then const (Stdlib.Float.max a.v b.v)
-      else if a.v >= b.v then node2 a.v a 1. b 0.
-      else node2 b.v a 0. b 1.
-
-    let min a b =
-      if a.id < 0 && b.id < 0 then const (Stdlib.Float.min a.v b.v)
-      else if a.v <= b.v then node2 a.v a 1. b 0.
-      else node2 b.v a 0. b 1.
-
-    let compare a b = Stdlib.compare a.v b.v
-    let equal a b = a.v = b.v
-    let ( < ) a b = a.v < b.v
-    let ( <= ) a b = a.v <= b.v
-    let ( > ) a b = a.v > b.v
-    let ( >= ) a b = a.v >= b.v
-  end
-
-  type gradients = T.adjoints option
-
-  let backward ?fan tape (output : t) =
-    if is_const output then None
-    else Some (T.backward ?fan tape ~output:output.id)
-
-  let grad g x =
-    match g with None -> 0. | Some adj -> T.adjoint adj x.id
-end
-
-module Segmented = Make (Tape.Segmented)
-
 (* Gradients of a backward sweep; [None] when the output never touched a
    lifted variable (all derivatives are then 0). *)
 type gradients = Tape.adjoints option
@@ -214,3 +110,15 @@ let backward ?fan tape (output : t) =
 
 let grad g x =
   match g with None -> 0. | Some adj -> Tape.adjoint adj x.id
+
+(* The name perfbench/rebuild.ml compiles against; the budgeted tape is
+   the same [Tape.t], so one scalar serves both. *)
+module Segmented = struct
+  let var = var
+  let lift = lift
+
+  module Scalar_of = Scalar_of
+
+  let backward = backward
+  let grad = grad
+end

@@ -45,7 +45,7 @@ type gradients
 
 (** One reverse sweep from [output]; cost is proportional to the
     touched (active) subgraph, not the tape length — see
-    {!Tape_intf.TAPE.backward}.  [?fan] lets independent tape segments
+    {!Tape.backward}.  [?fan] lets independent tape segments
     be swept in parallel; the result is bitwise identical at any
     parallelism. *)
 val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
@@ -54,28 +54,17 @@ val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
     after the output. *)
 val grad : gradients -> t -> float
 
-(** The same front end over any {!Tape_intf.TAPE} backend.  The node
-    type is shared with the dense path, so values, captures, and
-    Variable plumbing are backend-agnostic; only recording and the
-    backward sweep go through [T].  (The dense path above is kept
-    direct rather than [Make (Tape)] to avoid functor indirection on
-    the push hot path.) *)
-module Make (T : Tape_intf.TAPE) : sig
-  (** [var tape v] introduces an independent variable on [tape]. *)
-  val var : T.t -> float -> t
+(** The same front end under the name the benchmark's rebuilt pipeline
+    ([perfbench/rebuild.ml]) compiles against: {!Tape.Segmented.t} is
+    {!Tape.t}. *)
+module Segmented : sig
+  val var : Tape.t -> float -> t
+  val lift : Tape.t -> t -> t
 
-  val lift : T.t -> t -> t
-
-  (** Scalar structure recording onto the given tape. *)
   module Scalar_of (_ : sig
-    val tape : T.t
+    val tape : Tape.t
   end) : Scalar.S with type t = t
 
-  type gradients
-
-  val backward : ?fan:Tape_intf.fan -> T.t -> t -> gradients
+  val backward : ?fan:Tape_intf.fan -> Tape.t -> t -> gradients
   val grad : gradients -> t -> float
 end
-
-(** Front end over {!Tape.Segmented} (memory-budgeted recording). *)
-module Segmented : module type of Make (Tape.Segmented)

@@ -1,19 +1,12 @@
-(** Tape backend signatures.
+(** Shared tape vocabulary.
 
-    Two families of reverse tapes share one storage contract:
+    {!Tape} is the one reverse tape; its signature lives in [tape.mli].
+    This module holds what it shares with the edges-only dependence
+    tape {!Dep_tape} (8 bytes per node, no partials — the substrate of
+    {!Activity} and {!Itaint}): the sweep statistics, the fan-out
+    capability, and the {!STORE} and {!DEP} contracts.
 
-    - {!TAPE}: full reverse-mode tapes carrying local partial
-      derivatives (24 bytes per node).  {!Tape} (dense, every node
-      retained) and {!Tape.Segmented} (bounded live storage, discarded
-      segments replayed on demand) both satisfy it, so {!Reverse} and
-      the analyzer can swap backends without touching the kernels.
-    - {!DEP}: edges-only dependence tapes (8 bytes per node, no
-      partials) — the substrate of {!Activity} and {!Itaint}.
-
-    Future backends (e.g. a disk-spilling tape) are drop-in: satisfy
-    the signature and instantiate {!Reverse.Make}.
-
-    {2 Invariants every implementation must keep}
+    {2 Invariants both tapes keep}
 
     - {b Node ids are dense}: ids are consecutive ints starting at 0 in
       push order, and a parent id always names a node pushed {e before}
@@ -23,8 +16,7 @@
       [Invalid_argument] otherwise); the sweep itself may then use
       [unsafe_get]/[unsafe_set], because parent ids are bounded by the
       push-order invariant and node offsets stay inside their slab by
-      the uniform-slab-size layout.  New backends inherit this
-      obligation: one check at the API boundary, none on the hot path.
+      the uniform-slab-size layout.
     - {b Clear reuses storage}: [clear] drops all recorded nodes but
       retains the allocated storage, so a cleared tape re-records
       without reallocating.  [length] is 0 after [clear]; [capacity]
@@ -35,11 +27,11 @@
 
 (** Statistics of the most recent backward sweep.
 
-    [visited_nodes] counts the nodes whose adjoint (resp. reach mark)
-    was nonzero when the sweep inspected them — the nodes that actually
-    propagated.  [swept_nodes] is the size of the sweep range
-    ([output + 1]); the gap between the two is the work a
-    sparsity-aware sweep avoids.  Both counts are determined by the
+    [visited_nodes] counts the nodes at or below the output whose
+    adjoint (resp. reach mark) is nonzero — the nodes that actually
+    propagated, parentless input leaves included.  [swept_nodes] is
+    the size of the sweep range ([output + 1]); the gap between the
+    two is the work a sparsity-aware sweep avoids.  Both counts are determined by the
     recorded values alone, so they are identical across sequential and
     parallel sweeps of the same tape. *)
 type sweep_stats = { visited_nodes : int; swept_nodes : int }
@@ -48,7 +40,7 @@ type sweep_stats = { visited_nodes : int; swept_nodes : int }
 
     [fan_run f xs] maps [f] over [xs], possibly concurrently, and
     returns the results in input order.  A record with a polymorphic
-    field rather than a functor argument so that tape backends need no
+    field rather than a functor argument so that the tapes need no
     compile-time dependency on any particular pool implementation. *)
 type fan = { fan_run : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 
@@ -68,50 +60,6 @@ module type STORE = sig
   (** New independent (input) variable: a parentless node; returns its
       id. *)
   val fresh_var : t -> int
-end
-
-(** Full reverse-mode tape: nodes carry local partial derivatives and a
-    backward sweep yields adjoints. *)
-module type TAPE = sig
-  include STORE
-
-  (** [push1 t p dp] appends a unary node with parent [p] and local
-      partial [dp]; returns the node id. *)
-  val push1 : t -> int -> float -> int
-
-  (** [push2 t l dl r dr] appends a binary node. *)
-  val push2 : t -> int -> float -> int -> float -> int
-
-  (** Result of a backward sweep. *)
-  type adjoints
-
-  (** [backward t ~output] runs one reverse sweep seeded with
-      [d output / d output = 1] and returns the adjoint of every node
-      at or below [output].  Raises a descriptive [Invalid_argument]
-      when [output] is not a recorded node — the one bounds check that
-      licenses the unsafe sweep.
-
-      The sweep is sparsity-aware: only nodes whose adjoint became
-      nonzero are visited, and the result is bitwise identical to a
-      dense descending scan (same nodes inspected in the same order,
-      so the same floating-point additions in the same order).  When
-      [?fan] is given, a backend may fan independent portions of the
-      sweep out through it; results remain bitwise identical to the
-      sequential sweep at any parallelism.
-
-      The accumulator is cached on the tape across sweeps (cleared
-      frontier-wise, not re-zeroed wholesale), so a later [backward]
-      invalidates previously returned [adjoints]: read gradients before
-      sweeping again. *)
-  val backward : ?fan:fan -> t -> output:int -> adjoints
-
-  (** [adjoint g id] is [d output / d node]; 0 for constants
-      ([id < 0]) and for nodes recorded after the output. *)
-  val adjoint : adjoints -> int -> float
-
-  (** Statistics of the most recent [backward] on this tape; [None]
-      before the first sweep. *)
-  val last_sweep : t -> sweep_stats option
 end
 
 (** Edges-only dependence tape: no partials; a backward sweep computes

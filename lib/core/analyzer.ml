@@ -35,10 +35,10 @@ let fan pool f xs =
 let fan_init pool n f =
   match pool with None -> Array.init n f | Some p -> Pool.init p n f
 
-(* The same pool, as the backend-agnostic fan-out capability the tape
-   layer accepts: with it, the backward sweep runs independent tape
-   segments in parallel (bitwise identical to the sequential sweep at
-   any [jobs] — see {!Scvad_ad.Tape_intf.TAPE.backward}). *)
+(* The same pool, as the pool-agnostic fan-out capability the tape
+   accepts: with it, the backward sweep runs independent tape slabs in
+   parallel (bitwise identical to the sequential sweep at any [jobs] —
+   see {!Scvad_ad.Tape.backward}). *)
 let fan_of pool =
   Option.map
     (fun p -> { Tape_intf.fan_run = (fun f xs -> Pool.map p f xs) })
@@ -109,80 +109,37 @@ let int_reports (module A : App.S) (int_vars : Variable.int_t list) =
         ~spe:1 ~kind:Criticality.Int_var mask)
     int_vars
 
-(* One reverse pass yields both products: criticality masks (derivative
-   is zero / nonzero) and impact magnitudes (|derivative| per element),
-   which power the mixed-precision extension.  Extraction — one scan of
-   every snapshot plus the region encoding — fans out per variable. *)
-let reverse_analysis ?pool ?static ?(pruned = []) ?capacity_hint
-    (module A : App.S) ~at_iter ~niter =
-  let skips = static_skips static @ pruned in
-  let capacity_hint =
-    (* A caller-supplied hint (e.g. the static cost model's exact
-       prediction) overrides the app's hand-maintained ballpark. *)
-    Option.value capacity_hint ~default:A.tape_nodes_hint
-  in
-  let tape = Tape.create ~capacity_hint () in
-  let module RS = Reverse.Scalar_of (struct
-    let tape = tape
-  end) in
-  let module I = A.Make (RS) in
-  let state = I.create () in
-  I.run state ~from:0 ~until:at_iter;
-  let fvars = I.float_vars state in
-  (* Capture the lifted nodes: they are the checkpointed values, even if
-     the run overwrites the variable afterwards.  Statically-inactive
-     variables are pre-resolved: no lifting, no tape nodes. *)
-  let snapshots =
-    List.map
-      (fun (v : RS.t Variable.t) ->
-        if List.mem v.Variable.name skips then (v, None)
-        else (v, Some (Variable.lift_capture v (Reverse.lift tape))))
-      fvars
-  in
-  I.run state ~from:at_iter ~until:niter;
-  let g = Reverse.backward ?fan:(fan_of pool) tape (I.output state) in
-  let per_var =
-    fan pool
-      (fun ((v : RS.t Variable.t), snapshot) ->
-        match snapshot with
-        | None ->
-            all_false_reports ~name:v.Variable.name ~shape:v.Variable.shape
-              ~spe:v.Variable.spe
-        | Some snapshot ->
-            let mask, magnitudes =
-              Variable.mask_and_magnitudes_of_snapshot v snapshot
-                (Reverse.grad g)
-            in
-            ( Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
-                ~spe:v.Variable.spe ~kind:Criticality.Float_var mask,
-              Impact.of_magnitudes ~name:v.Variable.name ~shape:v.Variable.shape
-                ~spe:v.Variable.spe magnitudes ))
-      snapshots
-  in
-  {
-    float_reports = List.map fst per_var;
-    impact_reports = List.map snd per_var;
-    int_reports = int_reports (module A) (I.int_vars state);
-    tape_nodes = Tape.length tape;
-    tape_profile = None;
-    sweep_profile = sweep_profile_of (Tape.last_sweep tape);
-  }
+(* One taped run + one backward sweep yields both products: criticality
+   masks (derivative is zero / nonzero) and impact magnitudes
+   (|derivative| per element), which power the mixed-precision
+   extension.  Extraction — one scan of every snapshot plus the region
+   encoding — fans out per variable.
 
-(* Reverse analysis under a node budget: the same lift / run / backward
-   protocol, recorded on {!Tape.Segmented}.  Each main-loop iteration of
-   the analyzed window is one tape segment; the registered capture hook
-   snapshots the checkpoint variables (floats and ints) at every
-   boundary, and the replay hook re-runs one iteration from a restored
-   boundary — the checkpointing premise ("restore + run reproduces the
-   continuation", verified bitwise by the falsifier's stability check)
-   is exactly what makes the replay deterministic.  The final segment
-   also recomputes the output reduction, so its nodes replay too. *)
-let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
-    ~schedule (module A : App.S) ~at_iter ~niter =
+   Each main-loop iteration of the analyzed window is one tape segment.
+   Without [memory_budget] the tape keeps every node (sized from
+   [capacity_hint], else the app's [tape_nodes_hint]) and never calls
+   the hooks below.  Under a budget, the capture hook snapshots the
+   checkpoint variables (floats and ints) at boundaries, and the replay
+   hook re-runs one iteration from a restored boundary — the
+   checkpointing premise ("restore + run reproduces the continuation",
+   verified bitwise by the falsifier's stability check) is exactly what
+   makes the replay deterministic.  The final segment also computes the
+   output reduction, so its nodes replay too. *)
+let gradient_analysis ?pool ?static ?(pruned = []) ?capacity_hint
+    ?memory_budget ?(schedule = Tape.Binomial) (module A : App.S) ~at_iter
+    ~niter =
   let skips = static_skips static @ pruned in
-  let module T = Tape.Segmented in
-  let tape = T.create ~schedule ~budget_nodes () in
-  let module RS = Reverse.Segmented.Scalar_of (struct
+  let tape =
+    match memory_budget with
+    | None ->
+        (* A caller-supplied hint (e.g. the static cost model's exact
+           prediction) overrides the app's hand-maintained ballpark. *)
+        Tape.create
+          ~capacity_hint:(Option.value capacity_hint ~default:A.tape_nodes_hint)
+          ()
+    | Some budget_nodes -> Tape.Segmented.create ~schedule ~budget_nodes ()
+  in
+  let module RS = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let module I = A.Make (RS) in
@@ -204,27 +161,29 @@ let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
       List.iter (fun (v, s) -> Variable.restore v s) fs;
       List.iter (fun (v, s) -> Variable.int_restore v s) is
   in
-  T.set_program tape ~capture ~replay_step:step;
+  Tape.set_program tape ~capture ~replay_step:step;
   (* Prelude: constants fold, lifts are parentless — nothing here is
      ever replayed. *)
   I.run state ~from:0 ~until:at_iter;
-  let fvars = I.float_vars state in
+  (* Capture the lifted nodes: they are the checkpointed values, even if
+     the run overwrites the variable afterwards.  Statically-inactive
+     variables are pre-resolved: no lifting, no tape nodes. *)
   let snapshots =
     List.map
       (fun (v : RS.t Variable.t) ->
         if List.mem v.Variable.name skips then (v, None)
-        else (v, Some (Variable.lift_capture v (Reverse.Segmented.lift tape))))
-      fvars
+        else (v, Some (Variable.lift_capture v (Reverse.lift tape))))
+      (I.float_vars state)
   in
   for s = 0 to nsteps - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     step s
   done;
-  (* [backward] replays segments, which rewinds live state to interior
-     boundaries; resolve integer criticality now, from the completed
-     run, before any replay can disturb it. *)
+  (* [backward] may replay segments, which rewinds live state to
+     interior boundaries; resolve integer criticality now, from the
+     completed run, before any replay can disturb it. *)
   let ints = int_reports (module A) (I.int_vars state) in
-  let g = Reverse.Segmented.backward ?fan:(fan_of pool) tape !out in
+  let g = Reverse.backward ?fan:(fan_of pool) tape !out in
   let per_var =
     fan pool
       (fun ((v : RS.t Variable.t), snapshot) ->
@@ -235,7 +194,7 @@ let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
         | Some snapshot ->
             let mask, magnitudes =
               Variable.mask_and_magnitudes_of_snapshot v snapshot
-                (Reverse.Segmented.grad g)
+                (Reverse.grad g)
             in
             ( Criticality.of_mask ~name:v.Variable.name ~shape:v.Variable.shape
                 ~spe:v.Variable.spe ~kind:Criticality.Float_var mask,
@@ -243,24 +202,26 @@ let segmented_reverse_analysis ?pool ?static ?(pruned = []) ~budget_nodes
                 ~spe:v.Variable.spe magnitudes ))
       snapshots
   in
-  let st = T.stats tape in
+  let st = Tape.stats tape in
   {
     float_reports = List.map fst per_var;
     impact_reports = List.map snd per_var;
     int_reports = ints;
-    tape_nodes = st.T.s_total_nodes;
+    tape_nodes = st.Tape.s_total_nodes;
     tape_profile =
-      Some
-        {
-          Criticality.t_schedule = T.schedule_to_string st.T.s_schedule;
-          t_budget_nodes = st.T.s_budget_nodes;
-          t_segments = st.T.s_segments;
-          t_snapshots = st.T.s_snapshots;
-          t_replays = st.T.s_replays;
-          t_replayed_nodes = st.T.s_replayed_nodes;
-          t_peak_live_nodes = st.T.s_peak_live_nodes;
-        };
-    sweep_profile = sweep_profile_of (T.last_sweep tape);
+      Option.map
+        (fun budget_nodes ->
+          {
+            Criticality.t_schedule = Tape.schedule_to_string schedule;
+            t_budget_nodes = budget_nodes;
+            t_segments = st.Tape.s_segments;
+            t_snapshots = st.Tape.s_snapshots;
+            t_replays = st.Tape.s_replays;
+            t_replayed_nodes = st.Tape.s_replayed_nodes;
+            t_peak_live_nodes = st.Tape.s_peak_live_nodes;
+          })
+        memory_budget;
+    sweep_profile = sweep_profile_of (Tape.last_sweep tape);
   }
 
 let activity_analysis ?pool ?static ?(pruned = []) (module A : App.S)
@@ -380,24 +341,20 @@ let analyze_with ~mode ~at_iter ?niter ?pool ?static ?discovered
     | Some ranks -> Scvad_discover.Rank.pruned_float_vars ranks
     | None -> []
   in
-  (* A memory budget routes reverse mode through the segmented tape.
-     The other modes ignore it: forward probing records no tape at all,
-     and the activity tape stores edges only — orders of magnitude
-     below the reverse tape that motivates the budget. *)
+  (* A memory budget only bounds the reverse tape.  The other modes
+     ignore it: forward probing records no tape at all, and the activity
+     tape stores edges only — orders of magnitude below the reverse tape
+     that motivates the budget. *)
   let a =
-    match (mode, memory_budget) with
-    | Criticality.Reverse_gradient, Some budget_nodes ->
-        segmented_reverse_analysis ?pool ?static ~pruned ~budget_nodes
+    match mode with
+    | Criticality.Reverse_gradient ->
+        gradient_analysis ?pool ?static ~pruned ?capacity_hint ?memory_budget
           ~schedule
           (module A)
           ~at_iter ~niter
-    | Criticality.Reverse_gradient, None ->
-        reverse_analysis ?pool ?static ~pruned ?capacity_hint
-          (module A)
-          ~at_iter ~niter
-    | Criticality.Activity_dependence, _ ->
+    | Criticality.Activity_dependence ->
         activity_analysis ?pool ?static ~pruned (module A) ~at_iter ~niter
-    | Criticality.Forward_probe, _ ->
+    | Criticality.Forward_probe ->
         forward_analysis ?pool ?static ~pruned (module A) ~at_iter ~niter
   in
   {
@@ -484,10 +441,10 @@ module Config = struct
         (* scrutinize the discovered checkpoint set: prunable-ranked
            float fields are pre-resolved like statically-inactive ones *)
     guard : guard_spec option;
-    memory_budget : int option; (* tape node slots; None: dense tape *)
-    schedule : Tape.Segmented.schedule;
+    memory_budget : int option; (* tape node slots; None: unbounded *)
+    schedule : Tape.schedule;
     capacity_hint : int option;
-        (* dense-tape preallocation, overriding the app's
+        (* unbounded-tape preallocation, overriding the app's
            [tape_nodes_hint] — e.g. the cost model's exact prediction *)
   }
 
@@ -501,7 +458,7 @@ module Config = struct
       discovered = None;
       guard = None;
       memory_budget = None;
-      schedule = Tape.Segmented.Binomial;
+      schedule = Tape.Binomial;
       capacity_hint = None;
     }
 
@@ -645,6 +602,6 @@ let analyze_impact ?(at_iter = 0) ?niter (module A : App.S) =
   let niter = Option.value niter ~default:A.analysis_niter in
   if at_iter < 0 || at_iter >= niter then
     invalid_arg "Analyzer.analyze_impact: need 0 <= at_iter < niter";
-  let a = reverse_analysis (module A) ~at_iter ~niter in
+  let a = gradient_analysis (module A) ~at_iter ~niter in
   { Impact.app = A.name; at_iteration = at_iter; analyzed_until = niter;
     vars = a.impact_reports }

@@ -29,12 +29,12 @@ let mode_name = function
   | Forward_probe -> "forward-probe"
   | Activity_dependence -> "activity-dependence"
 
-(* How the recording was held in memory.  [None] means the dense tape
-   (everything stored); [Some p] means the segmented tape ran under a
-   node budget and [p] accounts for the recompute-vs-store trade the
-   schedule made. *)
+(* How the recording was held in memory.  [None] means no budget
+   (everything stored); [Some p] means the tape ran under a node budget
+   and [p] accounts for the recompute-vs-store trade the schedule
+   made. *)
 type tape_profile = {
-  t_schedule : string; (* "binomial" | "log-stride" | "all-store" *)
+  t_schedule : string; (* "binomial" | "planned[N]", N boundaries *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;
@@ -44,7 +44,7 @@ type tape_profile = {
 }
 
 (* What the backward sweep actually did.  [w_visited_nodes] counts the
-   nodes whose adjoint was nonzero when inspected — the active subgraph
+   nodes whose adjoint is nonzero, at every budget — the active subgraph
    the frontier sweep is proportional to; the zero-adjoint rest IS the
    uncriticality signal, never walked.  Absent for forward-probe runs
    (no tape, no sweep). *)

@@ -32,13 +32,13 @@ type mode = Reverse_gradient | Forward_probe | Activity_dependence
 val mode_name : mode -> string
 
 (** How the recording was held in memory.  [None] on {!report} means
-    the dense tape stored every node; [Some p] means the segmented tape
-    ran under [p.t_budget_nodes] and the fields account for the
+    no budget: the tape stored every node; [Some p] means the tape ran
+    under [p.t_budget_nodes] and the fields account for the
     recompute-vs-store trade: [t_peak_live_nodes] never exceeds the
     budget (rounded to whole slabs) and [t_replayed_nodes] is the extra
     recomputation the backward sweep paid for it. *)
 type tape_profile = {
-  t_schedule : string;  (** ["binomial"] | ["log-stride"] | ["all-store"] *)
+  t_schedule : string;  (** ["binomial"] | ["planned[N]"], N boundaries *)
   t_budget_nodes : int;
   t_segments : int;
   t_snapshots : int;
@@ -48,8 +48,9 @@ type tape_profile = {
 }
 
 (** What the backward sweep actually did.  [w_visited_nodes] counts the
-    nodes whose adjoint (or dependence mark) was nonzero when inspected
-    — the active subgraph the frontier sweep's cost is proportional to.
+    nodes whose adjoint (or dependence mark) is nonzero, prelude leaves
+    included, and is the same at every budget and job count — the
+    active subgraph the frontier sweep's cost is proportional to.
     The zero-adjoint rest is the paper's uncriticality signal and is
     never walked.  [None] for forward-probe runs (no tape, no
     sweep). *)

@@ -2,7 +2,7 @@
    families, and render the report (text or JSON, mirroring the other
    static-pass drivers).
 
-   The dynamic gate — predictions vs a real `Analyzer.reverse_analysis`
+   The dynamic gate — predictions vs a real `Analyzer.gradient_analysis`
    tape — lives in `bin/cost.ml`: this library reads kernel *sources*
    and must not link the compiled kernels it scrutinizes. *)
 

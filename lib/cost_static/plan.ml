@@ -1,7 +1,7 @@
 (* Snapshot-placement planning from predicted segment costs.
 
-   The segmented tape normally decides where to snapshot on the fly
-   (log-stride retention, binomial replay-time re-captures) because it
+   A budgeted tape normally decides where to snapshot on the fly
+   (stride-doubling retention, binomial replay-time re-captures) because it
    cannot know the future: segment node counts only exist once the
    segments have run.  The static cost model removes that ignorance —
    {!Predict} hands us every segment's node count before any recording
@@ -14,7 +14,7 @@
      average half the chunk away).  Minimizing the sum over at most
      [snapshot_slots] chunks is a classic 1-D partition DP.
 
-   - [simulate] then predicts what `Tape.Segmented` will actually do
+   - [simulate] then predicts what a budgeted `Tape` will actually do
      with those boundaries: it mirrors the recording-time slab
      retention, the top-down window sweep, nearest-snapshot replay,
      mid-segment window-filled aborts, and binomial replay-time
@@ -41,7 +41,7 @@ type t = {
 let default_slab_nodes ~budget_nodes =
   Stdlib.max 16 (Stdlib.min 65536 (budget_nodes / 8))
 
-(* Same recurrence as Tape.Segmented.binomial_plan: absolute boundary
+(* Same recurrence as Tape.binomial_plan: absolute boundary
    indices where a replay pass from [base] over [len] segments should
    drop snapshots, with [slots] free. *)
 let binomial_plan ~base ~len ~slots =
@@ -132,7 +132,7 @@ let place ~segments ~window_nodes ~chunks =
   end
 
 (* Predict the stats of a dense backward sweep over a Planned recording:
-   a slab-granular re-enactment of Tape.Segmented's recording retention
+   a slab-granular re-enactment of the budgeted Tape's recording retention
    and window replay logic. *)
 let simulate ~prelude ~segments ~boundaries ~slab_nodes ~budget_slabs
     ~snapshot_slots =
@@ -169,7 +169,7 @@ let simulate ~prelude ~segments ~boundaries ~slab_nodes ~budget_slabs
   materialize 0;
   let k_max = if total = 0 then 0 else (total - 1) / sn in
   (* discarding needs a boundary and the boundary-0 snapshot, exactly
-     like Tape.Segmented.can_discard; both exist once the first segment
+     like Tape.can_discard; both exist once the first segment
      with a planned 0-snapshot has started, i.e. for any node at or
      beyond marks.(0) *)
   for k = 1 to k_max do

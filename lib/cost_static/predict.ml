@@ -1,10 +1,10 @@
 (* Per-app node-count prediction: drive an interpreted kernel through
-   exactly the protocol `Analyzer.reverse_analysis` uses (run to the
+   exactly the protocol `Analyzer.gradient_analysis` uses (run to the
    checkpoint boundary, lift every element of every checkpoint
    variable, run the analyzed window, evaluate the output) and read the
    counting scalar instead of a tape.
 
-   The per-iteration split mirrors the segmented tape: segment costs
+   The per-iteration split mirrors the tape's segments: segment costs
    come out for free, and summing them reproduces the dense total
    because every kernel's [run ~from ~until] is literally a loop over
    iterations. *)

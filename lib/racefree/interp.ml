@@ -428,7 +428,7 @@ and resolve_in_tree ctx file env ?hint_lib segs =
                 | Some _ -> T_binding (path, name)
                 | None -> (
                     (* A re-exported alias inside that file, e.g.
-                       [Tape.Segmented] as [module Segmented = …]. *)
+                       [M.Sub] as [module Sub = Other.Path]. *)
                     match (Hashtbl.find_opt f.f_aliases (List.hd rest), rest)
                     with
                     | Some p, _ :: more ->

@@ -52,7 +52,7 @@ let capitalize_stem path =
 
 (* Collect a structure's bindings into [f], prefixing names bound
    inside [module M = struct … end] with ["M."] so cross-file paths
-   like [Tape.Segmented.backward] resolve to ["Segmented.backward"]
+   like [Tape.Segmented.create] resolve to ["Segmented.create"]
    within tape.ml. *)
 let rec collect_structure f ~prefix (items : Parsetree.structure) =
   List.iter
@@ -206,9 +206,8 @@ let load ~root =
 let file t path = Hashtbl.find_opt t.files path
 
 (* A binding looked up by (possibly dotted) name.  [Instanced] routes
-   [Segmented.backward] through [module Segmented = Make (Tape.Segmented)]:
-   the body is [Make.backward] with the functor parameter standing for
-   the instance's argument module. *)
+   [S.f] through [module S = Make (Arg)]: the body is [Make.f] with the
+   functor parameter standing for the instance's argument module. *)
 type binding =
   | Direct of Parsetree.expression
   | Instanced of Parsetree.expression * string * string list

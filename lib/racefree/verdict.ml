@@ -40,7 +40,7 @@ let site_to_text s =
 type flow = {
   fl_def_file : string;
   fl_def_line : int;
-  fl_via : string;  (** entry chain, e.g. ["reverse_analysis"] *)
+  fl_via : string;  (** entry chain, e.g. ["gradient_analysis"] *)
   fl_summary : Effects.summary;
 }
 

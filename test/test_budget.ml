@@ -1,11 +1,11 @@
-(* Memory-budgeted (segmented) reverse analysis vs the dense tape.
+(* Memory-budgeted reverse analysis vs no budget (the dense case).
 
    The checkpointing premise the whole tool rests on — restoring the
    checkpoint variables at a boundary and re-running reproduces the
    continuation bitwise — is exactly what makes segment replay
-   deterministic, so a segmented analysis at ANY budget must produce
-   the same report as the dense one: same criticality masks, same
-   regions, same recorded node count.  These tests pin that down on
+   deterministic, so an analysis at ANY budget must produce the same
+   report as the unbudgeted one: same criticality masks, same regions,
+   same recorded node count.  These tests pin that down on
    real NPB kernels, and the FT case doubles as the acceptance check:
    class-S FT under a budget of a quarter of its dense tape must stay
    within budget, replay, and still match bitwise. *)
@@ -16,7 +16,7 @@ module Npb = Scvad_npb
 
 let dense (module A : Scvad_core.App.S) = Analyzer.run (module A)
 
-let segmented ?(schedule = Scvad_ad.Tape.Segmented.Binomial) ~budget
+let segmented ?(schedule = Scvad_ad.Tape.Binomial) ~budget
     (module A : Scvad_core.App.S) =
   Analyzer.run
     ~config:
@@ -98,27 +98,27 @@ let test_ft_quarter () =
   quarter_budget_matches "ft" (module Npb.Ft.App) ();
   Gc.full_major ()
 
-(* Every schedule reproduces the dense report; all-store ignores the
-   budget and never replays. *)
+(* Every schedule reproduces the unbudgeted report, and a schedule
+   without a budget is inert: no budget means the tape stores every
+   node, so the report is the same and carries no tape profile. *)
 let test_schedules_agree () =
   let d = dense (module Npb.Cg.App) in
   let budget = max 1 (d.Crit.tape_nodes / 4) in
-  let ls =
-    segmented ~schedule:Scvad_ad.Tape.Segmented.Log_stride ~budget
-      (module Npb.Cg.App)
-  in
-  check_identical "cg/log-stride" d ls;
+  let planned = Scvad_ad.Tape.Planned [ 0 ] in
+  let pl = segmented ~schedule:planned ~budget (module Npb.Cg.App) in
+  check_identical "cg/planned" d pl;
   Alcotest.(check string)
-    "log-stride reported" "log-stride"
-    (profile "cg/log-stride" ls).Crit.t_schedule;
-  let als =
-    segmented ~schedule:Scvad_ad.Tape.Segmented.All_store ~budget
+    "planned reported" "planned[1]"
+    (profile "cg/planned" pl).Crit.t_schedule;
+  let nb =
+    Analyzer.run
+      ~config:Analyzer.Config.(default |> with_schedule planned)
       (module Npb.Cg.App)
   in
-  check_identical "cg/all-store" d als;
-  Alcotest.(check int)
-    "all-store never replays" 0
-    (profile "cg/all-store" als).Crit.t_replays
+  check_identical "cg/no-budget" d nb;
+  Alcotest.(check bool)
+    "no budget: no tape profile" true
+    (nb.Crit.tape_profile = None)
 
 (* A budget at or above the dense size needs no replays at all. *)
 let test_ample_budget_no_replay () =

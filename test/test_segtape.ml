@@ -1,5 +1,8 @@
-(* Segmented tape: bitwise equivalence with the dense tape under random
-   programs, budgets, and schedules, plus the budget/replay edge cases.
+(* Budgeted tape: bitwise equivalence with the unbounded tape under
+   random programs and budgets, plus the budget/replay edge cases.  The
+   unbounded reference runs no window or replay code; the sweep engine
+   is shared, so [Dual] and the forward probe remain the independent
+   oracles (test_ad, test_core).
 
    The harness is a tiny register machine whose step replays are
    deterministic by construction — exactly the property the analyzer
@@ -55,7 +58,8 @@ let init_regs var_of prog =
       if i < prog.ninputs then var_of prog.inputs.(i)
       else Reverse.const (0.125 *. float_of_int (i + 1)))
 
-(* Dense reference run: output value and the adjoint of every input. *)
+(* Unbounded reference run, with no program registered: output value and
+   the adjoint of every input. *)
 let run_dense prog =
   let tape = Tape.create ~capacity_hint:64 () in
   let module S = Reverse.Scalar_of (struct
@@ -71,11 +75,20 @@ let run_dense prog =
     Tape.length tape,
     Tape.adjoint adj )
 
-let run_segmented ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
-  let module T = Tape.Segmented in
-  let tape = T.create ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes () in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+(* A budgeted tape, or without [budget_nodes] an unbounded one of
+   [slab_nodes]-sized slabs. *)
+let new_tape ?(slab_nodes = 16) ?snapshot_slots ?schedule ?budget_nodes () =
+  match budget_nodes with
+  | None -> Tape.create ~capacity_hint:slab_nodes ()
+  | Some budget_nodes ->
+      Tape.Segmented.create ~slab_nodes ?snapshot_slots ?schedule ~budget_nodes
+        ()
+
+let run_segmented ?slab_nodes ?snapshot_slots ?schedule ?budget_nodes prog =
+  let tape =
+    new_tape ?slab_nodes ?snapshot_slots ?schedule ?budget_nodes ()
+  in
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let nseg = Array.length prog.segs in
@@ -86,23 +99,23 @@ let run_segmented ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
     exec (module S) regs prog.segs.(s);
     if s = nseg - 1 then out := sum_regs (module S) regs !input_nodes
   in
-  T.set_program tape
+  Tape.set_program tape
     ~capture:(fun () ->
       let snap = Array.copy regs in
       fun () -> Array.blit snap 0 regs 0 (Array.length snap))
     ~replay_step:step;
-  Array.blit (init_regs (R.var tape) prog) 0 regs 0 prog.nregs;
+  Array.blit (init_regs (Reverse.var tape) prog) 0 regs 0 prog.nregs;
   input_nodes := Array.sub regs 0 prog.ninputs;
   for s = 0 to nseg - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     step s
   done;
-  let adj = T.backward tape ~output:(Reverse.node_id !out) in
+  let adj = Tape.backward tape ~output:(Reverse.node_id !out) in
   ( Reverse.value !out,
-    Array.init prog.ninputs (T.adjoint adj),
-    T.stats tape,
+    Array.init prog.ninputs (Tape.adjoint adj),
+    Tape.stats tape,
     tape,
-    T.adjoint adj )
+    Tape.adjoint adj )
 
 let bits = Int64.bits_of_float
 
@@ -149,29 +162,29 @@ let prog_print p =
        (Array.to_list
           (Array.map (fun s -> string_of_int (List.length s)) p.segs)))
 
+(* An unbounded tape, or a random budget under the default Binomial
+   schedule. *)
 let setup_gen =
   let open QCheck.Gen in
   let* prog = prog_gen in
-  let* budget = int_range 16 600 in
+  let* budget = opt (int_range 16 600) in
   let* slots = int_range 1 8 in
-  let* sched =
-    oneofl Tape.Segmented.[ All_store; Log_stride; Binomial ]
-  in
-  return (prog, budget, slots, sched)
+  return (prog, budget, slots)
 
-let setup_print (p, budget, slots, sched) =
-  Printf.sprintf "%s budget=%d slots=%d sched=%s" (prog_print p) budget slots
-    (Tape.Segmented.schedule_to_string sched)
+let setup_print (p, budget, slots) =
+  Printf.sprintf "%s budget=%s slots=%d" (prog_print p)
+    (match budget with None -> "unbounded" | Some b -> string_of_int b)
+    slots
 
 let prop_seg_equals_dense =
   QCheck.Test.make ~count:300
     ~name:"segmented backward bitwise equals dense (random programs)"
     (QCheck.make ~print:setup_print setup_gen)
-    (fun (prog, budget, slots, sched) ->
+    (fun (prog, budget, slots) ->
       let dv, dg, total, dadj = run_dense prog in
       let sv, sg, stats, _, sadj =
-        run_segmented ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
-          ~budget_nodes:budget prog
+        run_segmented ~slab_nodes:16 ~snapshot_slots:slots
+          ?budget_nodes:budget prog
       in
       if not (same_float dv sv) then
         QCheck.Test.fail_reportf "output: dense %.17g <> segmented %.17g" dv
@@ -183,22 +196,22 @@ let prop_seg_equals_dense =
             id (dadj id) (sadj id)
       done;
       check_bitwise ~what:"adjoints" dg sg;
-      if stats.Tape.Segmented.s_total_nodes <> total then
+      if stats.Tape.s_total_nodes <> total then
         QCheck.Test.fail_reportf "total nodes: dense %d <> segmented %d" total
-          stats.Tape.Segmented.s_total_nodes;
+          stats.Tape.s_total_nodes;
       (* The budget is enforced at slab granularity (at least one
-         slab), except under All_store which deliberately ignores it. *)
-      (match sched with
-      | Tape.Segmented.All_store -> ()
-      | _ ->
+         slab). *)
+      (match budget with
+      | None -> ()
+      | Some budget ->
           let cap =
-            Stdlib.max stats.Tape.Segmented.s_slab_nodes
-              (budget / stats.Tape.Segmented.s_slab_nodes
-              * stats.Tape.Segmented.s_slab_nodes)
+            Stdlib.max stats.Tape.s_slab_nodes
+              (budget / stats.Tape.s_slab_nodes
+              * stats.Tape.s_slab_nodes)
           in
-          if stats.Tape.Segmented.s_peak_live_nodes > cap then
+          if stats.Tape.s_peak_live_nodes > cap then
             QCheck.Test.fail_reportf "peak live %d > budget cap %d"
-              stats.Tape.Segmented.s_peak_live_nodes cap);
+              stats.Tape.s_peak_live_nodes cap);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -226,9 +239,9 @@ let test_budget_ge_total_degenerates () =
   let sv, sg, stats, _, _ =
     run_segmented ~slab_nodes:16 ~budget_nodes:(2 * total) fixed_prog
   in
-  Alcotest.(check int) "no replays" 0 stats.Tape.Segmented.s_replays;
+  Alcotest.(check int) "no replays" 0 stats.Tape.s_replays;
   Alcotest.(check int) "no replayed nodes" 0
-    stats.Tape.Segmented.s_replayed_nodes;
+    stats.Tape.s_replayed_nodes;
   Alcotest.(check bool) "output bitwise" true (same_float dv sv);
   check_bitwise ~what:"adjoints" dg sg
 
@@ -241,11 +254,11 @@ let test_budget_below_one_segment () =
     run_segmented ~slab_nodes:16 ~budget_nodes:16 fixed_prog
   in
   Alcotest.(check bool) "replays happened" true
-    (stats.Tape.Segmented.s_replays > 0);
+    (stats.Tape.s_replays > 0);
   Alcotest.(check bool) "output bitwise" true (same_float dv sv);
   check_bitwise ~what:"adjoints" dg sg;
   Alcotest.(check int) "peak live = one slab" 16
-    stats.Tape.Segmented.s_peak_live_nodes
+    stats.Tape.s_peak_live_nodes
 
 let test_replay_after_clear () =
   let dv, dg, _, _ = run_dense fixed_prog in
@@ -254,36 +267,33 @@ let test_replay_after_clear () =
   in
   (* Re-record on the same tape after a clear; storage is reused and
      the second backward must still match dense bitwise. *)
-  Tape.Segmented.clear tape;
-  let module T = Tape.Segmented in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+  Tape.clear tape;
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let prog = fixed_prog in
   let nseg = Array.length prog.segs in
   let regs = Array.make prog.nregs (Reverse.const 0.) in
-  Array.blit (init_regs (R.var tape) prog) 0 regs 0 prog.nregs;
+  Array.blit (init_regs (Reverse.var tape) prog) 0 regs 0 prog.nregs;
   let input_nodes = Array.sub regs 0 prog.ninputs in
   let out = ref (Reverse.const 0.) in
   for s = 0 to nseg - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     exec (module S) regs prog.segs.(s);
     if s = nseg - 1 then out := sum_regs (module S) regs input_nodes
   done;
-  let adj = T.backward tape ~output:(Reverse.node_id !out) in
+  let adj = Tape.backward tape ~output:(Reverse.node_id !out) in
   Alcotest.(check bool) "output bitwise" true (same_float dv (Reverse.value !out));
   check_bitwise ~what:"adjoints" dg
-    (Array.init prog.ninputs (T.adjoint adj))
+    (Array.init prog.ninputs (Tape.adjoint adj))
 
-let test_all_store_never_replays () =
+(* The analyzer's no-budget case: a program is registered and segments
+   are marked, but nothing is snapshotted, discarded or replayed. *)
+let test_unbounded_never_replays () =
   let dv, dg, _, _ = run_dense fixed_prog in
-  let sv, sg, stats, _, _ =
-    run_segmented ~slab_nodes:16 ~schedule:Tape.Segmented.All_store
-      ~budget_nodes:16 fixed_prog
-  in
-  Alcotest.(check int) "no replays" 0 stats.Tape.Segmented.s_replays;
-  Alcotest.(check int) "no snapshots" 0 stats.Tape.Segmented.s_snapshots;
+  let sv, sg, stats, _, _ = run_segmented ~slab_nodes:16 fixed_prog in
+  Alcotest.(check int) "no replays" 0 stats.Tape.s_replays;
+  Alcotest.(check int) "no snapshots" 0 stats.Tape.s_snapshots;
   Alcotest.(check bool) "output bitwise" true (same_float dv sv);
   check_bitwise ~what:"adjoints" dg sg
 
@@ -301,22 +311,94 @@ let test_create_validation () =
       ignore (Tape.Segmented.create ~slab_nodes:8 ~budget_nodes:64 ()));
   (* Small hints clamp up to one 16-node slab rather than failing. *)
   let t = Tape.create ~capacity_hint:3 () in
-  Alcotest.(check int) "clamped slab" 16 (Tape.slab_nodes t)
+  Alcotest.(check int) "clamped slab" 16 (Tape.slab_nodes t);
+  (* Budget strings: a count that overflows an int, or one no int32
+     parent id could reach, is a typed error, never a zero budget. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %S rejected" s)
+        true
+        (Result.is_error (Tape.budget_of_string s)))
+    [ "1e30"; "inf"; "9e18G" ];
+  List.iter
+    (fun (s, n) ->
+      Alcotest.(check (result int string))
+        (Printf.sprintf "budget %S" s)
+        (Ok n) (Tape.budget_of_string s))
+    [ ("500000", 500_000); ("500k", 500_000); ("6M", 6_000_000); ("1.5k", 1_500) ]
 
 let test_prelude_must_be_parentless () =
-  let module T = Tape.Segmented in
-  let tape = T.create ~budget_nodes:64 () in
-  T.set_program tape
+  let tape = Tape.Segmented.create ~budget_nodes:64 () in
+  Tape.set_program tape
     ~capture:(fun () -> fun () -> ())
     ~replay_step:(fun _ -> ());
-  let x = T.fresh_var tape in
+  let x = Tape.fresh_var tape in
   Alcotest.(check bool) "raises before first boundary" true
     (try
-       ignore (T.push1 tape x 1.);
+       ignore (Tape.push1 tape x 1.);
        false
      with Invalid_argument _ -> true);
-  T.start_segment tape;
-  ignore (T.push1 tape x 1.)
+  Tape.start_segment tape;
+  ignore (Tape.push1 tape x 1.)
+
+(* Resident memory in kB, or None without /proc. *)
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id with
+            | Some kb -> Some kb
+            | None -> scan ())
+      in
+      let r = scan () in
+      close_in ic;
+      r
+
+let filled_tape nodes =
+  let t = Tape.create ~capacity_hint:nodes () in
+  let x = Tape.fresh_var t in
+  for _ = 2 to nodes do
+    ignore (Tape.push1 t x 1.)
+  done;
+  t
+
+(* A dead tape's storage leaves the process at the next collection,
+   even after an earlier tape died (which moves glibc's default mmap
+   threshold above this tape's slabs) and with a small block allocated
+   after the tape still live. *)
+let test_dead_tape_storage_released () =
+  match vm_rss_kb () with
+  | None -> ()
+  | Some _ ->
+      ignore (Sys.opaque_identity (filled_tape 1_500_000));
+      Gc.full_major ();
+      let rss () = Option.get (vm_rss_kb ()) in
+      let before = rss () in
+      let live, pin =
+        let t = filled_tape 1_000_000 in
+        let pin = Bigarray.(Array1.create float64 c_layout 512) in
+        Bigarray.Array1.fill pin 0.;
+        let kb = rss () in
+        ignore (Sys.opaque_identity t);
+        (kb, pin)
+      in
+      Gc.full_major ();
+      let after = rss () in
+      ignore (Sys.opaque_identity pin);
+      (* 1,000,000 nodes are 24 MB of slabs. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "live tape is resident (+%d kB)" (live - before))
+        true
+        (live - before >= 16_000);
+      Alcotest.(check bool)
+        (Printf.sprintf "dead tape is released (+%d kB)" (after - before))
+        true
+        (after - before <= 4_000)
 
 let suites =
   [
@@ -327,11 +409,13 @@ let suites =
         Alcotest.test_case "budget below one segment" `Quick
           test_budget_below_one_segment;
         Alcotest.test_case "replay after clear" `Quick test_replay_after_clear;
-        Alcotest.test_case "all-store never replays" `Quick
-          test_all_store_never_replays;
+        Alcotest.test_case "unbounded tape never replays" `Quick
+          test_unbounded_never_replays;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "prelude must be parentless" `Quick
           test_prelude_must_be_parentless;
+        Alcotest.test_case "dead tape storage is released" `Quick
+          test_dead_tape_storage_released;
         QCheck_alcotest.to_alcotest prop_seg_equals_dense;
       ] );
   ]

@@ -11,8 +11,8 @@
    The "sparse-gate" suite is the CI gate: across the full NPB suite,
    masks from the frontier sweep at jobs=4 — and from the
    segment-parallel budgeted sweep — are bitwise identical to the
-   dense jobs=1 baseline, and the visited-node counts are
-   jobs-invariant. *)
+   unbudgeted jobs=1 baseline, and the visited-node counts are the
+   same at every budget and job count. *)
 
 open Scvad_ad
 module Crit = Scvad_core.Criticality
@@ -48,13 +48,13 @@ let run_dense ?fan prog =
   let adj = Tape.backward ?fan tape ~output:(Reverse.node_id out) in
   (Reverse.value out, Tape.length tape, Tape.adjoint adj, Tape.last_sweep tape)
 
-(* Segmented run with an optional fan (Test_segtape.run_segmented with
-   the pool threaded through to the window sweeps). *)
-let run_seg ?fan ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
-  let module T = Tape.Segmented in
-  let tape = T.create ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes () in
-  let module R = Reverse.Segmented in
-  let module S = R.Scalar_of (struct
+(* Test_segtape.run_segmented with the pool threaded through to the
+   sweep: an unbounded tape, or a budgeted one swept window by window. *)
+let run_seg ?fan ?slab_nodes ?snapshot_slots ?budget_nodes prog =
+  let tape =
+    Test_segtape.new_tape ?slab_nodes ?snapshot_slots ?budget_nodes ()
+  in
+  let module S = Reverse.Scalar_of (struct
     let tape = tape
   end) in
   let nseg = Array.length prog.Test_segtape.segs in
@@ -66,21 +66,21 @@ let run_seg ?fan ?slab_nodes ?snapshot_slots ?schedule ~budget_nodes prog =
     if s = nseg - 1 then
       out := Test_segtape.sum_regs (module S) regs !input_nodes
   in
-  T.set_program tape
+  Tape.set_program tape
     ~capture:(fun () ->
       let snap = Array.copy regs in
       fun () -> Array.blit snap 0 regs 0 (Array.length snap))
     ~replay_step:step;
   Array.blit
-    (Test_segtape.init_regs (R.var tape) prog)
+    (Test_segtape.init_regs (Reverse.var tape) prog)
     0 regs 0 prog.Test_segtape.nregs;
   input_nodes := Array.sub regs 0 prog.Test_segtape.ninputs;
   for s = 0 to nseg - 1 do
-    T.start_segment tape;
+    Tape.start_segment tape;
     step s
   done;
-  let adj = T.backward ?fan tape ~output:(Reverse.node_id !out) in
-  (Reverse.value !out, T.adjoint adj, T.last_sweep tape)
+  let adj = Tape.backward ?fan tape ~output:(Reverse.node_id !out) in
+  (Reverse.value !out, Tape.adjoint adj, Tape.last_sweep tape)
 
 (* ------------------------------------------------------------------ *)
 (* Random programs: every frontier variant equals the dense sweep      *)
@@ -91,7 +91,7 @@ let prop_sparse_equals_dense =
     ~name:
       "frontier backward bitwise equals dense (any jobs, schedule, budget)"
     (QCheck.make ~print:Test_segtape.setup_print Test_segtape.setup_gen)
-    (fun (prog, budget, slots, sched) ->
+    (fun (prog, budget, slots) ->
       let dv, total, dadj, dstats = run_dense prog in
       let check what v adj =
         if not (Test_segtape.same_float dv v) then
@@ -119,21 +119,26 @@ let prop_sparse_equals_dense =
               x4.Tape_intf.visited_nodes x4.Tape_intf.swept_nodes
       | _ -> QCheck.Test.fail_reportf "a dense sweep recorded no stats");
       let sv, sadj, _ =
-        run_seg ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
-          ~budget_nodes:budget prog
+        run_seg ~slab_nodes:16 ~snapshot_slots:slots ?budget_nodes:budget prog
       in
       check "segmented" sv sadj;
       let pv, padj, pstats =
         run_seg
           ~fan:(fan_of (Lazy.force pool4))
-          ~slab_nodes:16 ~snapshot_slots:slots ~schedule:sched
-          ~budget_nodes:budget prog
+          ~slab_nodes:16 ~snapshot_slots:slots ?budget_nodes:budget prog
       in
       check "segment-parallel jobs=4" pv padj;
       (match pstats with
       | Some st ->
           if st.Tape_intf.visited_nodes > st.Tape_intf.swept_nodes then
             QCheck.Test.fail_reportf "visited %d > swept %d"
+              st.Tape_intf.visited_nodes st.Tape_intf.swept_nodes;
+          (* One visited count at every budget: the budgeted sweep
+             counts the prelude leaves it never scans. *)
+          if Some st <> dstats then
+            QCheck.Test.fail_reportf
+              "segment-parallel sweep stats (%d,%d) differ from the \
+               unbounded tape's"
               st.Tape_intf.visited_nodes st.Tape_intf.swept_nodes
       | None ->
           QCheck.Test.fail_reportf "segment-parallel sweep recorded no stats");
@@ -233,6 +238,31 @@ let gate_segmented name (module A : Scvad_core.App.S) () =
     true
     (s1.Crit.sweep_profile = s4.Crit.sweep_profile)
 
+(* One [visited_nodes] definition: the sweep profile (visited and swept
+   counts) is the same with no budget and with a quarter budget, at
+   jobs 1 and 2. *)
+let gate_visited (module A : Scvad_core.App.S) () =
+  let run ?budget jobs =
+    Analyzer.run
+      ~config:
+        Analyzer.Config.(
+          { default with memory_budget = budget } |> with_jobs jobs)
+      (module A)
+  in
+  let d = run 1 in
+  let budget = max 1 (d.Crit.tape_nodes / 4) in
+  List.iter
+    (fun (what, (r : Crit.report)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s sweep profile = no budget, jobs=1" A.name what)
+        true
+        (r.Crit.sweep_profile = d.Crit.sweep_profile))
+    [
+      ("no budget, jobs=2", run 2);
+      ("quarter budget, jobs=1", run ~budget 1);
+      ("quarter budget, jobs=2", run ~budget 2);
+    ]
+
 let gate_tests =
   List.map
     (fun ((module A : Scvad_core.App.S) as app) ->
@@ -240,6 +270,16 @@ let gate_tests =
         (A.name ^ ": dense masks, jobs=4 vs jobs=1")
         `Quick (gate_dense app))
     Npb.Suite.all
+  @ List.map
+      (fun ((module A : Scvad_core.App.S) as app) ->
+        Alcotest.test_case
+          (A.name ^ ": visited counts, any budget")
+          `Quick
+          (fun () ->
+            Gc.full_major ();
+            gate_visited app ();
+            Gc.full_major ()))
+      Npb.Suite.all
   @ [
       Alcotest.test_case "cg: segment-parallel masks vs dense" `Quick
         (gate_segmented "cg" (module Npb.Cg.App));
